@@ -21,7 +21,7 @@ from . import quadrature as q
 from .config import RunConfig
 from .errors import (ChartError, ConfigError, DomainEvalError, ExpressionError,
                      OrderLimitError, QuadratureError, SingularMetricError)
-from .finsler import DomainGeometry, PointState, _sum_jets, _values
+from .finsler import DomainGeometry, PointState, _values
 from .identity import (IdentityGeometry, condition35_residual, identity_tension,
                        linearized_scaling)
 from .maps import MapGeometry
@@ -41,7 +41,10 @@ def _parse_point(text: str, dim: int):
     if len(parts) != 2 * dim:
         raise ConfigError(f"--point expects {2 * dim} comma-separated values "
                           f"(x1..x{dim},y1..y{dim}), got {len(parts)}")
-    vals = [float(p) for p in parts]
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError as err:
+        raise ConfigError(f"--point: {err}") from err
     return np.array(vals[:dim]), np.array(vals[dim:])
 
 
@@ -85,7 +88,7 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
     tau_max = 0.0
     tau2_max = 0.0
     for x, y in points:
-        mg = MapGeometry(map, x, y, order, codomain_order=cod)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, order), codomain_order=cod)
         tau = _values(mg.tension)
         norm = float(np.sqrt(max(0.0, float(_values(mg.inner(mg.tension, mg.tension))))))
         tau_max = max(tau_max, norm)
@@ -126,7 +129,7 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
     for x, y in cfg.sample_points(20):
         geom = DomainGeometry(fs, x, y, 5)
         f2 = float(_values(geom.f2))
-        gyy = float(_values(_sum_jets(
+        gyy = float(_values(jt.sum_terms(
             [geom.g[i][j] * geom.env[fs.ynames[i]] * geom.env[fs.ynames[j]]
              for i in range(n) for j in range(n)])))
         worst["euler"] = max(worst["euler"], abs(gyy - f2) / abs(f2))
@@ -139,17 +142,17 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
             for i in range(n):
                 for j in range(n):
                     resid = geom.delta(geom.g[i][j], k) \
-                        - _sum_jets([geom.gamma[l][k][i] * geom.g[l][j]
-                                     + geom.gamma[l][k][j] * geom.g[i][l]
-                                     for l in range(n)])
+                        - jt.sum_terms([geom.gamma[l][k][i] * geom.g[l][j]
+                                        + geom.gamma[l][k][j] * geom.g[i][l]
+                                        for l in range(n)])
                     worst["h_metricity"] = max(worst["h_metricity"],
                                                abs(float(_values(resid))) / gscale)
         fj = jt.eval_ast(test_field, geom.env)
         for j in range(n):
             for k in range(n):
                 lhs = geom.delta(geom.delta(fj, k), j) - geom.delta(geom.delta(fj, j), k)
-                rhs = _sum_jets([geom.Rjk[i][j][k] * fj.deriv(fs.ynames[i])
-                                 for i in range(n)])
+                rhs = jt.sum_terms([geom.Rjk[i][j][k] * fj.deriv(fs.ynames[i])
+                                    for i in range(n)])
                 scale = max(1.0, abs(float(_values(lhs))))
                 worst["bracket"] = max(worst["bracket"],
                                        abs(float(_values(lhs)) - float(_values(rhs))) / scale)
@@ -173,7 +176,7 @@ def _suite_weitzenbock(cfg: RunConfig, rep: Report, args):
     worst = 0.0
     scale = 1.0
     for x, y in cfg.sample_points(20):
-        mg = MapGeometry(map, x, y, 6, codomain_order=2)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6), codomain_order=2)
         resid = float(np.max(np.abs(np.asarray(mg.weitzenbock_residual()))))
         scale = max(scale, abs(float(_values(mg.inner(mg.tension, mg.tension)))))
         worst = max(worst, resid)

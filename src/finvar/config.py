@@ -24,8 +24,7 @@ ignored.  The full schema (all keys optional unless stated):
       "perturbation": {"b": expr, "a": [expr, ..], "c_grid": [floats]},
       "quadrature": {"x_resolution": int, "y_samples": int, "seed": int,
                      "r_min": float, "safety": float, "workers": int},
-      "tolerances": {<name>: float, ..},
-      "output": {"format": "json" | "text" | "csv", "path": str}
+      "tolerances": {<name>: float, ..}
     }
 """
 
@@ -43,7 +42,7 @@ from .quadrature import QuadratureSpec
 from .riemann import RiemannStructure
 
 _TOP_KEYS = {"dimension", "domain", "codomain", "map", "variation", "sections",
-             "perturbation", "quadrature", "tolerances", "output"}
+             "perturbation", "quadrature", "tolerances"}
 _DOMAIN_KEYS = {"type", "chart", "matrix", "alpha", "beta", "b", "scale", "f"}
 _CHART_KEYS = {"type", "periods", "bounds"}
 _CODOMAIN_KEYS = {"type", "dimension", "radius", "matrix"}
@@ -51,7 +50,6 @@ _MAP_KEYS = {"components"}
 _SECTION_KEYS = {"X", "Y", "f"}
 _PERTURBATION_KEYS = {"b", "a", "c_grid"}
 _QUAD_KEYS = {"x_resolution", "y_samples", "seed", "r_min", "safety", "workers"}
-_OUTPUT_KEYS = {"format", "path"}
 
 DEFAULT_TOLERANCES = {
     "harmonic": 1e-8,
@@ -82,7 +80,10 @@ class RunConfig:
         _require_keys(data, _TOP_KEYS, "top level")
         if "dimension" not in data:
             raise ConfigError("top level: missing required key 'dimension'")
-        self.dimension = int(data["dimension"])
+        dimension = data["dimension"]
+        if isinstance(dimension, bool) or not isinstance(dimension, int):
+            raise ConfigError(f"dimension must be an integer, got {dimension!r}")
+        self.dimension = dimension
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         self.data = data
@@ -90,7 +91,7 @@ class RunConfig:
                             ("map", _MAP_KEYS), ("variation", _MAP_KEYS),
                             ("sections", _SECTION_KEYS),
                             ("perturbation", _PERTURBATION_KEYS),
-                            ("quadrature", _QUAD_KEYS), ("output", _OUTPUT_KEYS)):
+                            ("quadrature", _QUAD_KEYS)):
             if block in data:
                 _require_keys(data[block], keys, block)
         if "domain" in data and "chart" in data["domain"]:

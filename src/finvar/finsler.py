@@ -323,14 +323,11 @@ class DomainGeometry:
         """G^i = ¼ g^{ih}((F²)_{·h,k} y^k − (F²)_{,h})."""
         n, fs = self.n, self.fs
         dy = [self.f2.deriv(fs.ynames[h]) for h in range(n)]
-        inner = []
-        for h in range(n):
-            acc = None
-            for k in range(n):
-                term = dy[h].deriv(fs.xnames[k]) * self.env[fs.ynames[k]]
-                acc = term if acc is None else acc + term
-            inner.append(acc - self.f2.deriv(fs.xnames[h]))
-        return [0.25 * _dot(self.ginv[i], inner) for i in range(n)]
+        inner = [jt.sum_terms([dy[h].deriv(fs.xnames[k]) * self.env[fs.ynames[k]]
+                               for k in range(n)]) - self.f2.deriv(fs.xnames[h])
+                 for h in range(n)]
+        return [0.25 * jt.sum_terms([self.ginv[i][h] * inner[h] for h in range(n)])
+                for i in range(n)]
 
     @cached_property
     def Gj(self):
@@ -361,9 +358,9 @@ class DomainGeometry:
         for i in range(n):
             for j in range(n):
                 for k in range(j, n):
-                    entry = 0.5 * _dot(self.ginv[i],
-                                       [dg[h][j][k] + dg[h][k][j] - dg[j][k][h]
-                                        for h in range(n)])
+                    entry = 0.5 * jt.sum_terms([self.ginv[i][h]
+                                                * (dg[h][j][k] + dg[h][k][j] - dg[j][k][h])
+                                                for h in range(n)])
                     out[i][j][k] = entry
                     out[i][k][j] = entry
         return out
@@ -379,7 +376,7 @@ class DomainGeometry:
     def P_i(self):
         """P_i = P^j_ij (torsion trace, the horizontal 1-form)."""
         n = self.n
-        return [_sum_jets([self.P[j][i][j] for j in range(n)]) for i in range(n)]
+        return [jt.sum_terms([self.P[j][i][j] for j in range(n)]) for i in range(n)]
 
     @cached_property
     def Rjk(self):
@@ -407,9 +404,9 @@ class DomainGeometry:
                 for k in range(n):
                     for l in range(n):
                         entry = (dgamma[i][j][k][l] - dgamma[i][j][l][k]
-                                 + _sum_jets([self.gamma[h][j][k] * self.gamma[i][h][l]
-                                              - self.gamma[h][j][l] * self.gamma[i][h][k]
-                                              for h in range(n)]))
+                                 + jt.sum_terms([self.gamma[h][j][k] * self.gamma[i][h][l]
+                                                 - self.gamma[h][j][l] * self.gamma[i][h][k]
+                                                 for h in range(n)]))
                         out[j][i][k][l] = entry
         return out
 
@@ -429,7 +426,7 @@ class DomainGeometry:
         for i in range(1, n):
             acc = acc + self.delta(X[i], i)
         for k in range(n):
-            acc = acc + _sum_jets([self.gamma[i][k][i] for i in range(n)]) * X[k]
+            acc = acc + jt.sum_terms([self.gamma[i][k][i] for i in range(n)]) * X[k]
             acc = acc - self.P_i[k] * X[k]
         return acc
 
@@ -437,27 +434,15 @@ class DomainGeometry:
         """Δf = −g^{ij}(δ_iδ_j f − Γ^k_ij δ_k f − P_i δ_j f) for a scalar jet f."""
         n = self.n
         df = [self.delta(f, i) for i in range(n)]
-        acc = None
+        terms = []
         for i in range(n):
             for j in range(n):
                 term = self.delta(df[j], i)
                 for k in range(n):
                     term = term - self.gamma[k][i][j] * df[k]
                 term = term - self.P_i[i] * df[j]
-                term = self.ginv[i][j] * term
-                acc = term if acc is None else acc + term
-        return -acc
-
-
-def _dot(row, col):
-    return _sum_jets([a * b for a, b in zip(row, col)])
-
-
-def _sum_jets(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+                terms.append(self.ginv[i][j] * term)
+        return -jt.sum_terms(terms)
 
 
 def _values(table):

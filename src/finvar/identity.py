@@ -23,7 +23,7 @@ reported rather than asserted away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,8 +31,7 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError
-from .finsler import (BoxChart, DomainGeometry, FinslerStructure, PointState,
-                      _sum_jets, _values)
+from .finsler import DomainGeometry, FinslerStructure, PointState, _values
 from .maps import MapGeometry, SmoothMap
 from .riemann import RiemannStructure, christoffel_table
 
@@ -119,7 +118,7 @@ class IdentityGeometry:
         """Base nonlinear connection G̃^j_i = γ̃^j_{ik} y^k."""
         n = self.n
         yv = [self.geom.env[self.fs.ynames[k]] for k in range(n)]
-        return [[_sum_jets([self.gamma_tilde[j][i][k] * yv[k] for k in range(n)])
+        return [[jt.sum_terms([self.gamma_tilde[j][i][k] * yv[k] for k in range(n)])
                  for i in range(n)] for j in range(n)]
 
     def delta_tilde(self, jet, i):
@@ -143,7 +142,7 @@ class IdentityGeometry:
         """y_{h||j} = δ̃_j y_h − γ̃^l_{hj} y_l (covector rule)."""
         n = self.n
         return [[self.delta_tilde(self.y_low[h], j)
-                 - _sum_jets([self.gamma_tilde[l][h][j] * self.y_low[l] for l in range(n)])
+                 - jt.sum_terms([self.gamma_tilde[l][h][j] * self.y_low[l] for l in range(n)])
                  for j in range(n)] for h in range(n)]
 
     @cached_property
@@ -151,9 +150,9 @@ class IdentityGeometry:
         """B^i = ¼ g^{ih}(2 y_{h||j} y^j − F²_{||h})."""
         n = self.n
         yv = [self.geom.env[self.fs.ynames[k]] for k in range(n)]
-        inner = [2.0 * _sum_jets([self.y_low_bar[h][j] * yv[j] for j in range(n)])
+        inner = [2.0 * jt.sum_terms([self.y_low_bar[h][j] * yv[j] for j in range(n)])
                  - self.f2_bar[h] for h in range(n)]
-        return [0.25 * _sum_jets([self.geom.ginv[i][h] * inner[h] for h in range(n)])
+        return [0.25 * jt.sum_terms([self.geom.ginv[i][h] * inner[h] for h in range(n)])
                 for i in range(n)]
 
     @cached_property
@@ -162,16 +161,16 @@ class IdentityGeometry:
         n = self.n
         Bjk = [[[self.B[i].deriv(self.fs.ynames[j]).deriv(self.fs.ynames[k])
                  for k in range(n)] for j in range(n)] for i in range(n)]
-        return [-_sum_jets([self.geom.ginv[j][k] * Bjk[i][j][k]
-                            for j in range(n) for k in range(n)]) for i in range(n)]
+        return [-jt.sum_terms([self.geom.ginv[j][k] * Bjk[i][j][k]
+                               for j in range(n) for k in range(n)]) for i in range(n)]
 
     @cached_property
     def tau_route_conn(self):
         """τ^i = g^{jk}(γ̃^i_{jk} − G^i_{jk})."""
         n = self.n
-        return [_sum_jets([self.geom.ginv[j][k]
-                           * (self.gamma_tilde[i][j][k] - self.geom.Gjk[i][j][k])
-                           for j in range(n) for k in range(n)]) for i in range(n)]
+        return [jt.sum_terms([self.geom.ginv[j][k]
+                              * (self.gamma_tilde[i][j][k] - self.geom.Gjk[i][j][k])
+                              for j in range(n) for k in range(n)]) for i in range(n)]
 
     def eq33_residual(self):
         """2 y_{h||j} − (F²_{||j})_{·h}, all components."""
@@ -190,8 +189,8 @@ class IdentityGeometry:
         yv = [self.geom.env[self.fs.ynames[k]] for k in range(n)]
         out = []
         for i in range(n):
-            gt_spray = 0.5 * _sum_jets([self.gamma_tilde[i][j][k] * yv[j] * yv[k]
-                                        for j in range(n) for k in range(n)])
+            gt_spray = 0.5 * jt.sum_terms([self.gamma_tilde[i][j][k] * yv[j] * yv[k]
+                                           for j in range(n) for k in range(n)])
             out.append(np.asarray((self.geom.spray[i] - gt_spray - self.B[i]).value))
         return np.array(out)
 
@@ -202,12 +201,12 @@ class IdentityGeometry:
         out = np.empty((n, n) + np.shape(self.geom.f2.value))
         for i in range(n):
             for j in range(n):
-                lhs = self.geom.delta(tau[i], j) + _sum_jets(
+                lhs = self.geom.delta(tau[i], j) + jt.sum_terms(
                     [self.gamma_tilde[i][j][k] * tau[k] for k in range(n)])
-                bar = self.delta_tilde(tau[i], j) + _sum_jets(
+                bar = self.delta_tilde(tau[i], j) + jt.sum_terms(
                     [self.gamma_tilde[i][j][l] * tau[l] for l in range(n)])
-                corr = _sum_jets([self.B[k].deriv(self.fs.ynames[j])
-                                  * tau[i].deriv(self.fs.ynames[k]) for k in range(n)])
+                corr = jt.sum_terms([self.B[k].deriv(self.fs.ynames[j])
+                                     * tau[i].deriv(self.fs.ynames[k]) for k in range(n)])
                 out[i, j] = np.asarray((lhs - (bar - corr)).value)
         return out
 
@@ -232,7 +231,7 @@ def identity_tension(setup: PerturbationSetup, p: PointState) -> IdentityTension
     ig = IdentityGeometry(setup, p.x, p.y, 6)
     tau_b = _values(ig.tau_route_b)
     tau_c = _values(ig.tau_route_conn)
-    mg = MapGeometry(setup.identity_map, p.x, p.y, 6, codomain_order=1)
+    mg = MapGeometry(setup.identity_map, ig.geom, codomain_order=1)
     tau_g = _values(mg.tension)
 
     def gap(u, v):
@@ -250,8 +249,8 @@ def condition35_residual(setup: PerturbationSetup, p: PointState):
     ig = IdentityGeometry(setup, p.x, p.y, 3)
     a = setup.a_values(p.x)
     n = setup.dim
-    ay = _sum_jets([ig.geom.g[i][j] * float(a[i]) * ig.geom.env[ig.fs.ynames[j]]
-                    for i in range(n) for j in range(n)])
+    ay = jt.sum_terms([ig.geom.g[i][j] * float(a[i]) * ig.geom.env[ig.fs.ynames[j]]
+                       for i in range(n) for j in range(n)])
     residual = np.array([np.asarray((ig.f2_bar[h] - ay * ig.y_low[h]).value)
                          for h in range(n)])
     tau_predicted = -0.5 * n * a
@@ -290,7 +289,7 @@ def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8,
         t_max = 0.0
         t2_max = 0.0
         for x, y in pts:
-            mg = MapGeometry(idmap, x, y, 6, codomain_order=2)
+            mg = MapGeometry(idmap, DomainGeometry(idmap.fs, x, y, 6), codomain_order=2)
             t_max = max(t_max, float(np.max(np.abs(_values(mg.tension)))))
             t2_max = max(t2_max, float(np.max(np.abs(_values(mg.bitension)))))
         tau_sup[ci] = t_max

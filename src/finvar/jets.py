@@ -341,6 +341,15 @@ class Jet:
         return self._compose(coeffs)
 
 
+def sum_terms(terms):
+    """((t₀ + t₁) + t₂) + …: a left fold, so the summation order, and with it
+    every bit of the result, is fixed. Works on jets, arrays and numbers."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
 # --- expression evaluation on jets ---------------------------------------------
 
 _FUNC_TABLE = {

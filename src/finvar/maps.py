@@ -32,7 +32,7 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, DomainEvalError
-from .finsler import DomainGeometry, FinslerStructure, ORDER_TABLE, PointState, _sum_jets, _values
+from .finsler import DomainGeometry, FinslerStructure, ORDER_TABLE, PointState, _values
 from .riemann import (RiemannStructure, christoffel_table, curvature_table,
                       dchristoffel_table, nabla_curvature_table,
                       nabla_riem_apply, riem_apply)
@@ -133,11 +133,12 @@ class TensionReport:
 
 class MapGeometry:
     """Joint jet state of (domain geometry, φ, pulled-back codomain geometry)
-    at one base point (x with an optionally batched y)."""
+    at one base point (x with an optionally batched y). `geom` is a
+    DomainGeometry of `map.fs`; maps over the same domain may share one."""
 
-    def __init__(self, map: SmoothMap, x, y, order: int, codomain_order: int = 3):
+    def __init__(self, map: SmoothMap, geom: DomainGeometry, codomain_order: int = 3):
         self.map = map
-        self.geom = DomainGeometry(map.fs, x, y, order)
+        self.geom = geom
         self.n = map.fs.dim
         self.m = map.rs.dim
         self.codomain_order = codomain_order
@@ -164,8 +165,7 @@ class MapGeometry:
 
     @cached_property
     def _gamma_tilde_tables(self):
-        gamma, ginv = christoffel_table(self.codomain)
-        return gamma, ginv
+        return christoffel_table(self.codomain)
 
     @property
     def gamma_tilde(self):
@@ -199,14 +199,14 @@ class MapGeometry:
         """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ}(φ) φ^β_{,i} S^γ."""
         gamma = self.gamma_tilde
         return [self.geom.delta(S[a], i)
-                + _sum_jets([gamma[a][b][c] * self.dphi[b][i] * S[c]
-                             for b in range(self.m) for c in range(self.m)])
+                + jt.sum_terms([gamma[a][b][c] * self.dphi[b][i] * S[c]
+                                for b in range(self.m) for c in range(self.m)])
                 for a in range(self.m)]
 
     def inner(self, S, T):
         """⟨S, T⟩ = g̃_{αβ}(φ) S^α T^β."""
-        return _sum_jets([self.gtilde[a][b] * S[a] * T[b]
-                          for a in range(self.m) for b in range(self.m)])
+        return jt.sum_terms([self.gtilde[a][b] * S[a] * T[b]
+                             for a in range(self.m) for b in range(self.m)])
 
     # --- tension --------------------------------------------------------------------
 
@@ -222,13 +222,13 @@ class MapGeometry:
             for i in range(n):
                 for j in range(n):
                     t = self.dphi[a][i].deriv(xn[j])
-                    t = t + _sum_jets([gamma[a][b][c] * self.dphi[b][i] * self.dphi[c][j]
-                                       for b in range(m) for c in range(m)])
+                    t = t + jt.sum_terms([gamma[a][b][c] * self.dphi[b][i] * self.dphi[c][j]
+                                          for b in range(m) for c in range(m)])
                     for k in range(n):
                         t = t - g.gamma[k][i][j] * self.dphi[a][k]
                     t = t - g.P_i[i] * self.dphi[a][j]
                     terms.append(g.ginv[i][j] * t)
-            expanded.append(_sum_jets(terms))
+            expanded.append(jt.sum_terms(terms))
         # structural form: τ = g^{ij}(D_{δ_i}(dφ(δ_j)) − dφ(D_{δ_i}δ_j) − P_i dφ(δ_j))
         Ddphi = [[self.cov_deriv([self.dphi[b][j] for b in range(m)], i)
                   for j in range(n)] for i in range(n)]
@@ -242,7 +242,7 @@ class MapGeometry:
                         t = t - g.gamma[k][i][j] * self.dphi[a][k]
                     t = t - g.P_i[i] * self.dphi[a][j]
                     terms.append(g.ginv[i][j] * t)
-            structural.append(_sum_jets(terms))
+            structural.append(jt.sum_terms(terms))
         gap = max(float(np.max(np.abs(np.asarray(expanded[a].value)
                                       - np.asarray(structural[a].value))))
                   for a in range(m))
@@ -269,7 +269,7 @@ class MapGeometry:
                         t = t + g.gamma[k][i][j] * DS[k][a]
                     t = t + g.P_i[i] * DS[j][a]
                     terms.append(g.ginv[i][j] * t)
-            out.append(_sum_jets(terms))
+            out.append(jt.sum_terms(terms))
         return out
 
     def curvature_trace(self, S):
@@ -285,7 +285,7 @@ class MapGeometry:
                     dphi_j = [self.dphi[b][j] for b in range(m)]
                     terms.append(g.ginv[i][j]
                                  * riem_apply(riem, dphi_i, S, dphi_j, m)[a])
-            out.append(_sum_jets(terms))
+            out.append(jt.sum_terms(terms))
         return out
 
     def jacobi(self, S):
@@ -302,7 +302,7 @@ class MapGeometry:
     def energy_density(self):
         """e(φ) = ½ g^{ij} g̃_{αβ}(φ) φ^α_{,i} φ^β_{,j}."""
         g = self.geom
-        return 0.5 * _sum_jets(
+        return 0.5 * jt.sum_terms(
             [g.ginv[i][j] * self.gtilde[a][b] * self.dphi[a][i] * self.dphi[b][j]
              for i in range(self.n) for j in range(self.n)
              for a in range(self.m) for b in range(self.m)])
@@ -317,7 +317,7 @@ class MapGeometry:
         lhs = -0.5 * g.horizontal_laplacian_of(norm2)
         lap = self.rough_laplacian(tau)
         Dtau = [self.cov_deriv(tau, i) for i in range(self.n)]
-        rhs = -self.inner(lap, tau) + _sum_jets(
+        rhs = -self.inner(lap, tau) + jt.sum_terms(
             [g.ginv[i][j] * self.inner(Dtau[i], Dtau[j])
              for i in range(self.n) for j in range(self.n)])
         return lhs.value - rhs.value
@@ -359,6 +359,12 @@ class MapGeometry:
 
 # --- public operations -------------------------------------------------------------------
 
+def _at(map: SmoothMap, p: PointState, quantity: str, codomain_order: int) -> MapGeometry:
+    """Map geometry at one point, at the jet order ORDER_TABLE gives `quantity`."""
+    return MapGeometry(map, DomainGeometry(map.fs, p.x, p.y, ORDER_TABLE[quantity]),
+                       codomain_order)
+
+
 def differential(map: SmoothMap, x) -> np.ndarray:
     """φ^α_{,i} matrix (ñ × n) of exact first partials."""
     env = jt.jet_space(map.fs.xnames, 1).point_env(
@@ -369,7 +375,7 @@ def differential(map: SmoothMap, x) -> np.ndarray:
 
 
 def tension(map: SmoothMap, p: PointState) -> TensionReport:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["connection"], codomain_order=1)
+    mg = _at(map, p, "connection", 1)
     tau = _values(mg.tension)
     norm = np.sqrt(np.maximum(_values(mg.inner(mg.tension, mg.tension)), 0.0))
     return TensionReport(tau=tau, tau_norm=norm,
@@ -377,22 +383,22 @@ def tension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def pullback_cov_deriv(map: SmoothMap, S: PullbackSection, i: int, p: PointState) -> np.ndarray:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["connection"], codomain_order=1)
+    mg = _at(map, p, "connection", 1)
     return _values(mg.cov_deriv(S.jets(mg), i))
 
 
 def rough_laplacian(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["laplacian"], codomain_order=2)
+    mg = _at(map, p, "laplacian", 2)
     return _values(mg.rough_laplacian(S.jets(mg)))
 
 
 def jacobi_apply(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["laplacian"], codomain_order=2)
+    mg = _at(map, p, "laplacian", 2)
     return _values(mg.jacobi(S.jets(mg)))
 
 
 def bitension(map: SmoothMap, p: PointState) -> TensionReport:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["bitension"], codomain_order=2)
+    mg = _at(map, p, "bitension", 2)
     tau = _values(mg.tension)
     tau2 = _values(mg.bitension)
     return TensionReport(
@@ -404,16 +410,16 @@ def bitension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def weitzenbock_residual(map: SmoothMap, p: PointState) -> float:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["bitension"], codomain_order=2)
+    mg = _at(map, p, "bitension", 2)
     return float(mg.weitzenbock_residual())
 
 
 def hessian_integrand(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
                       p: PointState) -> float:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["hessian"], codomain_order=3)
+    mg = _at(map, p, "hessian", 3)
     return float(mg.hessian_integrand(V1.jets(mg), V2.jets(mg)))
 
 
 def energy_density(map: SmoothMap, p: PointState) -> float:
-    mg = MapGeometry(map, p.x, p.y, ORDER_TABLE["metric"], codomain_order=0)
+    mg = _at(map, p, "metric", 0)
     return float(_values(mg.energy_density))

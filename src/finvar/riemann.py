@@ -19,7 +19,6 @@ objects are pulled back through a map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -73,16 +72,9 @@ def determinant(mat):
                 - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
                 + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
     # Laplace expansion; dimensions beyond 3 are rare enough not to matter
-    det = None
-    for j in range(n):
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = mat[0][j] * determinant(minor) * (1.0 if j % 2 == 0 else -1.0)
-        det = term if det is None else det + term
-    return det
-
-
-def _sum(terms):
-    return reduce(lambda u, v: u + v, terms)
+    return jt.sum_terms([mat[0][j] * determinant([[mat[i][k] for k in range(n) if k != j]
+                                                  for i in range(1, n)])
+                         * (1.0 if j % 2 == 0 else -1.0) for j in range(n)])
 
 
 # --- partial-derivative tables of a metric -------------------------------------
@@ -111,8 +103,8 @@ def christoffel_table(p: MetricPartials, ginv=None):
     for a in range(n):
         for b in range(n):
             for c in range(b, n):
-                entry = 0.5 * _sum([ginv[a][l] * (p.d1[c][l][b] + p.d1[b][l][c] - p.d1[l][b][c])
-                                    for l in range(n)])
+                entry = 0.5 * jt.sum_terms([ginv[a][l] * (p.d1[c][l][b] + p.d1[b][l][c] - p.d1[l][b][c])
+                                            for l in range(n)])
                 gamma[a][b][c] = entry
                 gamma[a][c][b] = entry
     return gamma, ginv
@@ -127,7 +119,7 @@ def dchristoffel_table(p: MetricPartials, gamma, ginv):
         for a in range(n):
             for b in range(n):
                 for c in range(b, n):
-                    entry = _sum(
+                    entry = jt.sum_terms(
                         [0.5 * dginv[d][a][l] * (p.d1[c][l][b] + p.d1[b][l][c] - p.d1[l][b][c])
                          + 0.5 * ginv[a][l] * (p.d2[c][d][l][b] + p.d2[b][d][l][c] - p.d2[l][d][b][c])
                          for l in range(n)])
@@ -139,7 +131,7 @@ def dchristoffel_table(p: MetricPartials, gamma, ginv):
 def _dginv(ginv, dg):
     """d(g^-1) = -g^-1 (dg) g^-1 for one coordinate direction."""
     n = len(ginv)
-    return [[-_sum([ginv[a][i] * dg[i][j] * ginv[j][b] for i in range(n) for j in range(n)])
+    return [[-jt.sum_terms([ginv[a][i] * dg[i][j] * ginv[j][b] for i in range(n) for j in range(n)])
              for b in range(n)] for a in range(n)]
 
 
@@ -152,8 +144,8 @@ def curvature_table(gamma, dgamma, dim):
             for c in range(n):
                 for d in range(n):
                     entry = (dgamma[d][a][b][c] - dgamma[c][a][b][d]
-                             + _sum([gamma[h][b][c] * gamma[a][h][d]
-                                     - gamma[h][b][d] * gamma[a][h][c] for h in range(n)]))
+                             + jt.sum_terms([gamma[h][b][c] * gamma[a][h][d]
+                                             - gamma[h][b][d] * gamma[a][h][c] for h in range(n)]))
                     riem[b][a][c][d] = entry
     return riem
 
@@ -166,7 +158,7 @@ def nabla_curvature_table(p: MetricPartials, gamma, dgamma, ginv, dginv, riem):
     d2ginv = [[None] * n for _ in range(n)]
     for d in range(n):
         for e in range(n):
-            d2ginv[d][e] = [[-_sum(
+            d2ginv[d][e] = [[-jt.sum_terms(
                 [dginv[e][a][i] * p.d1[d][i][j] * ginv[j][b]
                  + ginv[a][i] * p.d2[d][e][i][j] * ginv[j][b]
                  + ginv[a][i] * p.d1[d][i][j] * dginv[e][j][b]
@@ -178,7 +170,7 @@ def nabla_curvature_table(p: MetricPartials, gamma, dgamma, ginv, dginv, riem):
             for a in range(n):
                 for b in range(n):
                     for c in range(b, n):
-                        entry = _sum(
+                        entry = jt.sum_terms(
                             [0.5 * d2ginv[d][e][a][l] * (p.d1[c][l][b] + p.d1[b][l][c] - p.d1[l][b][c])
                              + 0.5 * dginv[d][a][l] * (p.d2[c][e][l][b] + p.d2[b][e][l][c] - p.d2[l][e][b][c])
                              + 0.5 * dginv[e][a][l] * (p.d2[c][d][l][b] + p.d2[b][d][l][c] - p.d2[l][d][b][c])
@@ -194,14 +186,14 @@ def nabla_curvature_table(p: MetricPartials, gamma, dgamma, ginv, dginv, riem):
                 for c in range(n):
                     for d in range(n):
                         plain = (d2gamma[d][m][a][b][c] - d2gamma[c][m][a][b][d]
-                                 + _sum([dgamma[m][h][b][c] * gamma[a][h][d] + gamma[h][b][c] * dgamma[m][a][h][d]
-                                         - dgamma[m][h][b][d] * gamma[a][h][c] - gamma[h][b][d] * dgamma[m][a][h][c]
-                                         for h in range(n)]))
-                        corr = _sum([gamma[a][m][h] * riem[b][h][c][d]
-                                     - gamma[h][m][b] * riem[h][a][c][d]
-                                     - gamma[h][m][c] * riem[b][a][h][d]
-                                     - gamma[h][m][d] * riem[b][a][c][h]
-                                     for h in range(n)])
+                                 + jt.sum_terms([dgamma[m][h][b][c] * gamma[a][h][d] + gamma[h][b][c] * dgamma[m][a][h][d]
+                                                 - dgamma[m][h][b][d] * gamma[a][h][c] - gamma[h][b][d] * dgamma[m][a][h][c]
+                                                 for h in range(n)]))
+                        corr = jt.sum_terms([gamma[a][m][h] * riem[b][h][c][d]
+                                             - gamma[h][m][b] * riem[h][a][c][d]
+                                             - gamma[h][m][c] * riem[b][a][h][d]
+                                             - gamma[h][m][d] * riem[b][a][c][h]
+                                             for h in range(n)])
                         nabla[m][b][a][c][d] = plain + corr
     return nabla
 
@@ -212,16 +204,16 @@ def riem_apply(riem, u, w, z, dim):
     The first operator argument pairs with the last component index, matching
     the Ricci identity D_r D_c - D_c D_r = R_b{}^a{}_{cr}.
     """
-    return [_sum([riem[b][a][c][r] * w[c] * u[r] * z[b]
-                  for b in range(dim) for c in range(dim) for r in range(dim)])
+    return [jt.sum_terms([riem[b][a][c][r] * w[c] * u[r] * z[b]
+                          for b in range(dim) for c in range(dim) for r in range(dim)])
             for a in range(dim)]
 
 
 def nabla_riem_apply(nabla, direction, u, w, z, dim):
     """((nabla_direction R)(U, W)Z)^a with the same wiring as riem_apply."""
-    return [_sum([nabla[m][b][a][c][r] * direction[m] * w[c] * u[r] * z[b]
-                  for m in range(dim) for b in range(dim)
-                  for c in range(dim) for r in range(dim)])
+    return [jt.sum_terms([nabla[m][b][a][c][r] * direction[m] * w[c] * u[r] * z[b]
+                          for m in range(dim) for b in range(dim)
+                          for c in range(dim) for r in range(dim)])
             for a in range(dim)]
 
 
@@ -264,9 +256,6 @@ class RiemannStructure:
     def custom(cls, matrix_sources, dim: int) -> "RiemannStructure":
         coords = [f"x{i + 1}" for i in range(dim)]
         mat = [[ex.parse(matrix_sources[a][b], coords) for b in range(dim)] for a in range(dim)]
-        for a in range(dim):
-            for b in range(a):
-                pass  # symmetry is validated numerically below
         rs = cls(dim, mat)
         rs._validate_symmetry()
         return rs
@@ -298,7 +287,7 @@ class RiemannStructure:
             self._partial_asts[key] = node
         return node
 
-    def partials_at(self, env: dict, max_order: int, evaluator=None) -> MetricPartials:
+    def partials_at(self, env: dict, max_order: int) -> MetricPartials:
         """Evaluate g and its coordinate partials at `env` (numbers or jets).
 
         Partials come from exact derivative expressions, so the table is
@@ -306,10 +295,9 @@ class RiemannStructure:
         through a map needs the latter).
         """
         n = self.dim
-        if evaluator is None:
-            has_jets = any(isinstance(v, jt.Jet) for v in env.values())
-            evaluator = (lambda node: jt.eval_ast(node, env)) if has_jets \
-                else (lambda node: ex.evaluate(node, env))
+        has_jets = any(isinstance(v, jt.Jet) for v in env.values())
+        evaluator = (lambda node: jt.eval_ast(node, env)) if has_jets \
+            else (lambda node: ex.evaluate(node, env))
 
         def level(order):
             if order == 0:
@@ -318,7 +306,6 @@ class RiemannStructure:
             for _ in range(order):
                 idxs = [t + (c,) for t in idxs for c in range(n)]
             cache = {}
-            out = None
             for t in idxs:
                 key = tuple(sorted(t))
                 if key not in cache:
@@ -328,17 +315,9 @@ class RiemannStructure:
                 if depth == order:
                     return cache[tuple(sorted(prefix))]
                 return [build(prefix + (c,), depth + 1) for c in range(n)]
-            out = build((), 0)
-            return out
+            return build((), 0)
 
-        p = MetricPartials(dim=n, d0=level(0))
-        if max_order >= 1:
-            p.d1 = level(1)
-        if max_order >= 2:
-            p.d2 = level(2)
-        if max_order >= 3:
-            p.d3 = level(3)
-        return p
+        return MetricPartials(n, *(level(k) for k in range(min(max_order, 3) + 1)))
 
     def partials_from_jets(self, x, max_order: int) -> MetricPartials:
         """Same table, but read off a single jet evaluation of each g_ab.
@@ -371,14 +350,7 @@ class RiemannStructure:
                 return [build(prefix + (c,), depth + 1) for c in range(n)]
             return build((), 0)
 
-        p = MetricPartials(dim=n, d0=level(0))
-        if max_order >= 1:
-            p.d1 = level(1)
-        if max_order >= 2:
-            p.d2 = level(2)
-        if max_order >= 3:
-            p.d3 = level(3)
-        return p
+        return MetricPartials(n, *(level(k) for k in range(min(max_order, 3) + 1)))
 
 
 # --- public pointwise operations -------------------------------------------------

@@ -153,3 +153,23 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
 def test_missing_map_block_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", RANDERS)
     assert main(["tension", "--config", cfg]) == 2
+
+
+def test_output_block_is_rejected(tmp_path, capsys):
+    cfg = dict(EUCLID_TORUS)
+    cfg["output"] = {"format": "csv", "path": str(tmp_path / "report.csv")}
+    assert main(["energy", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
+    assert "unknown key(s) ['output']" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command, change, extra", [
+    ("geom", {}, ["--point", "0.1,0.2,abc,1"]),
+    ("energy", {"dimension": "two"}, []),
+    ("energy", {"quadrature": {"x_resolution": "abc"}}, []),
+])
+def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
+    assert main([command, "--config", cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -198,7 +198,7 @@ def test_pullback_connection_is_metric_compatible():
     y = np.array([0.5, 1.1])
     S_src = [f"sin(x1*{TWO_PI!r})", f"0.3 + cos(x2*{TWO_PI!r})"]
     T_src = [f"x2*0 + 0.7", f"sin(x2*{TWO_PI!r})/2"]
-    mg = MapGeometry(m, x, y, 4, codomain_order=1)
+    mg = MapGeometry(m, DomainGeometry(fs, x, y, 4), codomain_order=1)
     S = PullbackSection(S_src).jets(mg)
     T = PullbackSection(T_src).jets(mg)
     for i in range(2):

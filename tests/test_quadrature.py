@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from finvar import expressions as ex
+from finvar import jets as jt
 from finvar import quadrature as q
 from finvar.classical import ClassicalPipeline
 from finvar.errors import ConfigError, QuadratureError
-from finvar.finsler import BoxChart, FinslerStructure, TorusChart
-from finvar.maps import PullbackSection, SmoothMap, VariationFamily
+from finvar.finsler import BoxChart, DomainGeometry, FinslerStructure, TorusChart, _values
+from finvar.maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 from finvar.riemann import RiemannStructure
 
 TWO_PI = 2 * math.pi
@@ -128,6 +129,9 @@ def test_spec_validation():
         q.QuadratureSpec(y_samples=1)
     with pytest.raises(ConfigError):
         q.QuadratureSpec(workers=0)
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ConfigError):
+            q.QuadratureSpec(seed=seed)
 
 
 def test_first_variation_check_flat_family():
@@ -218,3 +222,73 @@ def test_randers_divergence_theorem():
     out = q.divergence_theorem_check(
         fs, X, q.QuadratureSpec(x_resolution=8, y_samples=600, seed=37))
     assert abs(out["divergence_integral"]) <= 3 * out["divergence_stderr"] + 1e-8
+
+
+# --- one assembly pass per check: every row equals its stand-alone integral ---------------
+
+def _sphere_family():
+    fs = _torus_euclid()
+    rs = RiemannStructure.sphere(2, 1.0)
+    base = SmoothMap([f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"], fs, rs)
+    return VariationFamily(
+        [f"0.8 + 0.2*cos(x1*{TWO_PI!r}) + eps1*sin(x1*{TWO_PI!r})",
+         f"0.3*sin(x2*{TWO_PI!r}) + eps1*0.4*cos(x2*{TWO_PI!r})"],
+        fs, rs, base=base)
+
+
+def test_first_variation_pass_equals_separate_integrals():
+    fam = _sphere_family()
+    spec = q.QuadratureSpec(x_resolution=3, y_samples=64, seed=41)
+    h = 1e-3
+    chk = q.first_variation_check(fam, spec, h=h)
+    fd = (q.bienergy(fam.map_at(h), spec).value
+          - q.bienergy(fam.map_at(-h), spec).value) / (2 * h)
+    assert chk.fd == fd
+    v_asts = fam.deviation_field(1)
+
+    def tau2_v(x, y):
+        mg = MapGeometry(fam.base, DomainGeometry(fam.base.fs, x, y, 6), codomain_order=2)
+        V = [jt.eval_ast(a, mg.geom.env) for a in v_asts]
+        return [_values(mg.inner(mg.bitension, V)) * _values(mg.geom.detg)]
+
+    (est,) = q._assemble(tau2_v, fam.base.fs, spec)
+    assert chk.analytic == est.value
+    assert chk.stderr == est.stderr
+
+
+def test_second_variation_pass_equals_hessian_forms():
+    fs = _torus_euclid()
+    rs = RiemannStructure.sphere(2, 1.0)
+    base = SmoothMap(["x1*0 + 0.4", "x1*0 - 0.2"], fs, rs)
+    fam = VariationFamily(
+        [f"0.4 + eps1*sin(x1*{TWO_PI!r}) + 0.3*eps2*cos(x2*{TWO_PI!r})",
+         f"-0.2 + eps2*sin(x2*{TWO_PI!r}) + 0.2*eps1*cos(x1*{TWO_PI!r})"],
+        fs, rs, base=base)
+    spec = q.QuadratureSpec(x_resolution=2, y_samples=16, seed=43)
+    chk = q.second_variation_check(fam, spec)
+    V1 = PullbackSection(fam.deviation_field(1))
+    V2 = PullbackSection(fam.deviation_field(2))
+    assert chk.analytic == q.hessian_form(base, V1, V2, spec).value
+    assert chk.extras["h21"] == q.hessian_form(base, V2, V1, spec).value
+
+
+def test_divergence_row_is_independent_of_the_laplacian_row():
+    fs = _torus_euclid()
+    X = [f"sin(x1*{TWO_PI!r})", f"cos(x2*{TWO_PI!r})"]
+    spec = q.QuadratureSpec(x_resolution=3, y_samples=64, seed=47)
+    alone = q.divergence_theorem_check(fs, X, spec)
+    both = q.divergence_theorem_check(fs, X, spec, f=f"sin(x1*{TWO_PI!r})*cos(x2*{TWO_PI!r})")
+    assert alone["divergence_integral"] == both["divergence_integral"]
+    assert alone["divergence_stderr"] == both["divergence_stderr"]
+    assert "laplacian_integral" in both and "laplacian_integral" not in alone
+
+
+def test_self_adjointness_is_identical_across_worker_counts():
+    m = _sphere_family().base
+    X = PullbackSection([f"sin(x1*{TWO_PI!r})", f"cos(x2*{TWO_PI!r})"])
+    Y = PullbackSection([f"cos(x1*{TWO_PI!r})", f"0.5*sin(x2*{TWO_PI!r})"])
+    one = q.self_adjointness_check(m, X, Y, q.QuadratureSpec(x_resolution=3, y_samples=64,
+                                                             seed=53))
+    three = q.self_adjointness_check(m, X, Y, q.QuadratureSpec(x_resolution=3, y_samples=64,
+                                                               seed=53, workers=3))
+    assert one == three
