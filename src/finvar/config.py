@@ -73,6 +73,22 @@ def _require_keys(block: dict, allowed: set, where: str):
                           f"allowed: {sorted(allowed)}")
 
 
+def _number(value, kind, where: str):
+    """`kind(value)`, or a ConfigError naming the key `where` of a mistyped value."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+
+
+def _numbers(values, kind, where: str, length=None) -> tuple:
+    """A list of config numbers, of `length` entries when that is given."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        raise ConfigError(f"{where} must be a list of {length or 'some'} numbers, got {values!r}")
+    return tuple(_number(v, kind, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 class RunConfig:
     """Validated run configuration with lazy structure builders."""
 
@@ -91,19 +107,15 @@ class RunConfig:
                             ("map", _MAP_KEYS), ("variation", _MAP_KEYS),
                             ("sections", _SECTION_KEYS),
                             ("perturbation", _PERTURBATION_KEYS),
-                            ("quadrature", _QUAD_KEYS)):
+                            ("quadrature", _QUAD_KEYS),
+                            ("tolerances", set(DEFAULT_TOLERANCES))):
             if block in data:
                 _require_keys(data[block], keys, block)
         if "domain" in data and "chart" in data["domain"]:
             _require_keys(data["domain"]["chart"], _CHART_KEYS, "domain.chart")
-        tol = data.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("tolerances: expected an object")
-        unknown = set(tol) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"tolerances: unknown key(s) {sorted(unknown)}")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update({k: float(v) for k, v in tol.items()})
+        self.tolerances.update({k: _number(v, float, f"tolerances.{k}")
+                                for k, v in data.get("tolerances", {}).items()})
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -126,16 +138,16 @@ class RunConfig:
         if block is None:
             return None
         kind = block.get("type")
+        n = self.dimension
         if kind == "torus":
-            periods = block.get("periods", [1.0] * self.dimension)
-            if len(periods) != self.dimension:
-                raise ConfigError("domain.chart.periods length must equal the dimension")
-            return TorusChart(tuple(float(p) for p in periods))
+            return TorusChart(_numbers(block.get("periods", [1.0] * n), float,
+                                       "domain.chart.periods", n))
         if kind == "box":
-            bounds = block.get("bounds", [[-1.0, 1.0]] * self.dimension)
-            if len(bounds) != self.dimension:
-                raise ConfigError("domain.chart.bounds length must equal the dimension")
-            return BoxChart(tuple((float(lo), float(hi)) for lo, hi in bounds))
+            bounds = block.get("bounds", [[-1.0, 1.0]] * n)
+            if not isinstance(bounds, list) or len(bounds) != n:
+                raise ConfigError(f"domain.chart.bounds must be a list of {n} [lo, hi] pairs")
+            return BoxChart(tuple(_numbers(b, float, f"domain.chart.bounds[{i}]", 2)
+                                  for i, b in enumerate(bounds)))
         raise ConfigError(f"domain.chart.type must be 'torus' or 'box', got {kind!r}")
 
     def finsler(self) -> FinslerStructure:
@@ -155,9 +167,8 @@ class RunConfig:
         if kind == "perturbed":
             if "matrix" not in block or "b" not in block:
                 raise ConfigError("domain: 'perturbed' requires 'matrix' and 'b'")
-            return FinslerStructure.perturbed(block["matrix"], block["b"], n,
-                                              chart=chart,
-                                              scale=float(block.get("scale", 1.0)))
+            scale = _number(block.get("scale", 1.0), float, "domain.scale")
+            return FinslerStructure.perturbed(block["matrix"], block["b"], n, chart=chart, scale=scale)
         if kind == "custom":
             if "f" not in block:
                 raise ConfigError("domain: 'custom' requires 'f'")
@@ -167,11 +178,12 @@ class RunConfig:
     def riemann(self) -> RiemannStructure:
         block = self.data.get("codomain", {"type": "euclidean"})
         kind = block.get("type", "euclidean")
-        dim = int(block.get("dimension", self.dimension))
+        dim = _number(block.get("dimension", self.dimension), int, "codomain.dimension")
         if kind == "euclidean":
             return RiemannStructure.euclidean(dim)
         if kind == "sphere":
-            return RiemannStructure.sphere(dim, float(block.get("radius", 1.0)))
+            return RiemannStructure.sphere(dim, _number(block.get("radius", 1.0), float,
+                                                        "codomain.radius"))
         if kind == "custom":
             if "matrix" not in block:
                 raise ConfigError("codomain: 'custom' requires 'matrix'")
@@ -214,12 +226,12 @@ class RunConfig:
 
     def c_grid(self):
         block = self.data.get("perturbation", {})
-        return tuple(float(c) for c in block.get("c_grid", DEFAULT_C_GRID))
+        return _numbers(block.get("c_grid", DEFAULT_C_GRID), float, "perturbation.c_grid")
 
     def quadrature_spec(self, seed_override=None) -> QuadratureSpec:
         block = dict(self.data.get("quadrature", {}))
         if seed_override is not None:
-            block["seed"] = int(seed_override)
+            block["seed"] = _number(seed_override, int, "seed")
         return QuadratureSpec(**block)
 
     def sample_points(self, count: int = 10, seed: int = 2024):

@@ -1,10 +1,12 @@
 """Taylor-mode automatic differentiation on multivariate truncated jets.
 
-A Jet holds every mixed partial derivative of a scalar quantity up to a
-total order K, stored as *plain* partial values (not divided by the
+A Jet holds every mixed partial derivative of a scalar quantity up to its
+effective order r, stored as *plain* partial values (not divided by the
 factorial of the multi-index).  Multi-indices are enumerated in graded
-lexicographic order, so coefficient tables are comparable bit-for-bit
-across runs.
+lexicographic order, so the rows of degree <= r form a prefix of the
+space's table: a jet stores that prefix and nothing above it, and its
+coefficient tables are comparable bit-for-bit across runs and across
+spaces of different order.
 
 Coefficients carry an optional trailing batch shape, so one Jet can
 represent the same expression evaluated at many fiber points at once;
@@ -54,6 +56,8 @@ class JetSpace:
             key=lambda e: (sum(e), e)), dtype=np.int64).reshape(-1, self.m)
         self.ncoef = self.exps.shape[0]
         self.degrees = self.exps.sum(axis=1)
+        # nrows[r]: length of the graded prefix of multi-indices of degree <= r
+        self.nrows = [int(np.sum(self.degrees <= r)) for r in range(order + 1)]
         self.index = {tuple(e): i for i, e in enumerate(self.exps)}
         self.var_pos = {name: i for i, name in enumerate(names)}
         # derivative gather tables: deriv[v][i] = index of mu + e_v (or -1 past order)
@@ -65,8 +69,6 @@ class JetSpace:
                 shifted = tuple(e[k] + (1 if k == v else 0) for k in range(self.m))
                 self._deriv_idx[v, i] = self.index[shifted]
         self._mul_tables: dict = {}
-        # zero-out masks by effective order
-        self._trunc_mask = [self.degrees <= r for r in range(order + 1)]
 
     def _mul_table(self, r: int):
         """Leibniz triples for products valid to total order r, grouped by output index."""
@@ -74,31 +76,27 @@ class JetSpace:
         if table is not None:
             return table
         ii, jj, kk, ww = [], [], [], []
-        low = [i for i in range(self.ncoef) if self.degrees[i] <= r]
-        by_deg: dict = {}
-        for i in low:
-            by_deg.setdefault(self.degrees[i], []).append(i)
-        for i in low:
+        n_out = self.nrows[r]
+        for i in range(n_out):
             ei = self.exps[i]
-            for dj in range(r - self.degrees[i] + 1):
-                for j in by_deg.get(dj, ()):
-                    ek = ei + self.exps[j]
-                    k = self.index[tuple(ek)]
-                    w = 1.0
-                    for v in range(self.m):
-                        w *= math.comb(int(ek[v]), int(ei[v]))
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(k)
-                    ww.append(w)
+            # the partners of degree <= r - |i| are a prefix of the table
+            for j in range(self.nrows[r - self.degrees[i]]):
+                ek = ei + self.exps[j]
+                k = self.index[tuple(ek)]
+                w = 1.0
+                for v in range(self.m):
+                    w *= math.comb(int(ek[v]), int(ei[v]))
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+                ww.append(w)
         order_by_k = np.argsort(np.asarray(kk), kind="stable")
         ii = np.asarray(ii)[order_by_k]
         jj = np.asarray(jj)[order_by_k]
         kk = np.asarray(kk)[order_by_k]
         ww = np.asarray(ww, dtype=np.float64)[order_by_k]
-        n_out = int(np.sum(self.degrees <= r))
         starts = np.searchsorted(kk, np.arange(n_out))
-        table = (ii, jj, ww, starts, n_out)
+        table = (ii, jj, ww, starts)
         self._mul_tables[r] = table
         return table
 
@@ -123,12 +121,21 @@ class JetSpace:
 
 # --- jets ---------------------------------------------------------------------
 
+def _lift(c: np.ndarray, ndim: int) -> np.ndarray:
+    """Insert batch axes after the coefficient axis until `c` has `ndim` axes;
+    a batch mismatch left after that raises at the `+` or `*`."""
+    if c.ndim >= ndim:
+        return c
+    return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
+
+
 class Jet:
     """Truncated multivariate Taylor expansion with plain-partial coefficients.
 
-    `order` is the effective order: coefficients of total degree above it are
-    identically zero and carry no information (they appear when derivatives
-    or products reduce the trustworthy order below the space's capacity).
+    `order` is the effective order, at most the space's order (derivatives and
+    products lower it).  `c` holds only the rows of total degree <= `order`, the
+    graded prefix of the space's multi-index table: shape
+    `(space.nrows[order],) + batch`.
     """
 
     __slots__ = ("space", "c", "order")
@@ -150,36 +157,31 @@ class Jet:
 
     def coefficients(self) -> dict:
         """Full coefficient table {multi-index: plain partial} up to the effective order."""
-        sp = self.space
-        return {tuple(int(v) for v in sp.exps[i]): self.c[i]
-                for i in range(sp.ncoef) if sp.degrees[i] <= self.order}
+        return {tuple(int(v) for v in e): c for e, c in zip(self.space.exps, self.c)}
 
     # --- arithmetic -----------------------------------------------------------
 
     def _align(self, other):
-        """Expand coefficient axes so a plain array broadcasts against the batch."""
+        """Coefficients and a plain array that broadcasts against their batch."""
         other = np.asarray(other, dtype=np.float64)
-        batch = np.broadcast_shapes(self.c.shape[1:], other.shape)
-        c = self.c.reshape(self.c.shape[:1] + (1,) * (len(batch) - self.c.ndim + 1) + self.c.shape[1:])
-        return c, other, batch
+        return _lift(self.c, other.ndim + 1), other
 
     @staticmethod
     def _align_pair(a: np.ndarray, b: np.ndarray):
-        """Insert batch axes so two coefficient arrays broadcast against
-        each other (batch shapes may differ in rank)."""
-        batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        nb = len(batch)
-        a = a.reshape(a.shape[:1] + (1,) * (nb - (a.ndim - 1)) + a.shape[1:])
-        b = b.reshape(b.shape[:1] + (1,) * (nb - (b.ndim - 1)) + b.shape[1:])
-        return a, b
+        """Two coefficient arrays whose batches (of any rank) broadcast."""
+        ndim = max(a.ndim, b.ndim)
+        return _lift(a, ndim), _lift(b, ndim)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = self._align_pair(self.c, other.c)
-            return Jet(self.space, a + b, min(self.order, other.order))
-        c, other, batch = self._align(other)
-        c = np.broadcast_to(c, (self.space.ncoef,) + batch).copy()
-        c[0] = c[0] + other
+            order = min(self.order, other.order)
+            n = self.space.nrows[order]
+            a, b = self._align_pair(self.c[:n], other.c[:n])
+            return Jet(self.space, a + b, order)
+        c, other = self._align(other)
+        head = c[0] + other
+        c = np.broadcast_to(c, c.shape[:1] + head.shape).copy()
+        c[0] = head
         return Jet(self.space, c, self.order)
 
     __radd__ = __add__
@@ -195,25 +197,22 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c, other, _ = self._align(other)
+            c, other = self._align(other)
             return Jet(self.space, c * other, self.order)
         sp = self.space
         r = min(self.order, other.order)
-        ii, jj, ww, starts, n_out = sp._mul_table(r)
+        ii, jj, ww, starts = sp._mul_table(r)
         a, b = self._align_pair(self.c, other.c)
         prod = a[ii] * b[jj]
         prod *= ww.reshape((-1,) + (1,) * (prod.ndim - 1))
-        out = np.add.reduceat(prod, starts, axis=0)
-        c = np.zeros((sp.ncoef,) + prod.shape[1:])
-        c[:n_out] = out
-        return Jet(sp, c, r)
+        return Jet(sp, np.add.reduceat(prod, starts, axis=0), r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        c, other, _ = self._align(other)
+        c, other = self._align(other)
         if not np.all(other != 0):
             raise DomainEvalError("division by zero")
         return Jet(self.space, c / other, self.order)
@@ -249,13 +248,8 @@ class Jet:
         if self.order == 0:
             raise OrderLimitError("derivative of an order-0 jet has no trustworthy coefficients")
         sp = self.space
-        idx = sp._deriv_idx[sp.var_pos[name]]
-        valid = idx >= 0
-        c = np.zeros_like(self.c)
-        c[valid] = self.c[idx[valid]]
-        order = max(self.order - 1, 0)
-        c[~sp._trunc_mask[order]] = 0.0
-        return Jet(sp, c, order)
+        order = self.order - 1
+        return Jet(sp, self.c[sp._deriv_idx[sp.var_pos[name], :sp.nrows[order]]], order)
 
     # --- analytic functions (truncated composition h(f) = sum h_k (f-f0)^k) ----
 
@@ -280,15 +274,11 @@ class Jet:
         a = self.value
         if not np.all(np.asarray(a) > 0):
             raise DomainEvalError("sqrt of a non-positive value")
-        coeffs = []
-        c = np.sqrt(a)
-        p = 0.5
-        fact = 1.0
-        acc = c.copy() if isinstance(c, np.ndarray) else c
+        coeffs, acc, fact = [], np.sqrt(a), 1.0
         for k in range(self.order + 1):
             coeffs.append(acc / fact)
-            acc = acc * (p - k) / a
-            fact *= (k + 1)
+            acc = acc * (0.5 - k) / a
+            fact *= k + 1
         return self._compose(coeffs)
 
     def exp(self):
@@ -362,9 +352,8 @@ def eval_ast(node, env: dict) -> Jet:
     """Evaluate an expression AST in an environment of jets (and numbers)."""
     result = _eval(node, env)
     if not isinstance(result, Jet):
-        space = next(v.space for v in env.values() if isinstance(v, Jet))
-        batch = next(np.asarray(v.value).shape for v in env.values() if isinstance(v, Jet))
-        return space.constant(np.broadcast_to(result, batch))
+        jet = next(v for v in env.values() if isinstance(v, Jet))
+        return jet.space.constant(np.broadcast_to(result, jet.c.shape[1:]))
     return result
 
 
@@ -382,9 +371,8 @@ def _eval(node, env):
             return a - b
         if node.op == "*":
             return a * b
-        if not isinstance(b, Jet):
-            if not np.all(np.asarray(b) != 0):
-                raise DomainEvalError("division by zero")
+        if not isinstance(b, Jet) and not np.all(np.asarray(b) != 0):
+            raise DomainEvalError("division by zero")
         return a / b
     if isinstance(node, ex.Pow):
         base = _eval(node.base, env)

@@ -40,11 +40,11 @@ from .maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 class QuadratureSpec:
     """Base-rule resolution, fibers per node, seed and sampler settings.
 
-    `workers` threads share out the x-nodes. Estimates are bitwise identical
-    for any worker count, but the threads give no speedup on the current
-    workloads (2 vs 1 workers on a 2-core machine: 2.54 s vs 2.36 s on a
-    bienergy at 4×4 nodes and 2048 fibers). Every integral and every check
-    draws the fibers of each node once.
+    `workers` threads share out the x-nodes; estimates are bitwise identical
+    for any worker count. Two threads beat one only on large fiber batches
+    (2-core machine, medians of six: 0.81 s vs 1.22 s on a bienergy at 4×4
+    nodes × 2048 fibers, 5.32 s vs 4.77 s on a first-variation check at 8×8
+    × 128). Every integral and every check draws each node's fibers once.
     """
 
     x_resolution: int = 16

@@ -167,6 +167,12 @@ def test_output_block_is_rejected(tmp_path, capsys):
     ("geom", {}, ["--point", "0.1,0.2,abc,1"]),
     ("energy", {"dimension": "two"}, []),
     ("energy", {"quadrature": {"x_resolution": "abc"}}, []),
+    ("tension", {"tolerances": {"harmonic": "abc"}}, []),
+    ("tension", {"codomain": {"type": "sphere", "radius": "big"}}, []),
+    ("geom", {"domain": {"type": "euclidean", "chart": {"type": "torus", "periods": ["a", 1.0]}}},
+     ["--point", "0.1,0.2,1,0"]),
+    ("geom", {"domain": {"type": "euclidean", "chart": {"type": "box", "bounds": [[0, 1], 2]}}},
+     ["--point", "0.1,0.2,1,0"]),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})

@@ -95,3 +95,52 @@ def test_batched_and_scalar_jets_mix():
         assert np.asarray(mixed.value)[k] == pytest.approx(float(ref.value), rel=1e-14)
         assert np.asarray(mixed.partial((1, 1)))[k] == pytest.approx(
             float(ref.partial((1, 1))), rel=1e-13, abs=1e-13)
+
+
+XY = ("x1", "x2", "y1", "y2")
+F2 = ex.parse("(sqrt(y1^2 + y2^2) + 0.2*sin(x1)*y1 + 0.2*cos(x2)*y2)^2"
+              " / (2 + atan(x1*y2)) + exp(0.3*x2)*y1", XY)
+
+
+def _xy_env(space):
+    return space.point_env({"x1": np.asarray(0.3), "x2": np.asarray(-0.4),
+                            "y1": np.linspace(-0.9, 0.9, 7), "y2": np.asarray(0.6)})
+
+
+def test_jets_store_the_graded_prefix_of_their_order():
+    space = jt.jet_space(XY, 5)
+    env = _xy_env(space)
+    full = jt.eval_ast(F2, env)                        # order 5, batched
+    low = full.deriv("y1").deriv("x2")                 # order 3, batched
+    free = jt.eval_ast(ex.parse("2 + x1*x2 + x1^2", XY), space.point_env(
+        {"x1": np.asarray(0.3), "x2": np.asarray(-0.4),
+         "y1": np.asarray(0.0), "y2": np.asarray(0.0)})).deriv("x1")  # order 4, batch-free
+    results = [full + low, low + full, free + full, full - free, free - low,
+               full + 2.0, 2.0 - low, free + np.ones(7),
+               full * low, free * full, low * free, free * free, full * 3.0, 0.5 * low,
+               full / free, low / 2.0, 1.0 / free, low.deriv("y2"), free.deriv("x2"),
+               free.sqrt(), full.sin(), low.atan(), free.reciprocal(),
+               full ** 3, low ** -2, free ** 0.5, full ** 0]
+    for j in results:
+        assert j.c.shape[0] == space.nrows[j.order]
+    assert [j.order for j in results[:5]] == [3, 3, 4, 4, 3]
+    assert results[8].order == 3 and results[9].order == 4 and results[11].c.ndim == 1
+    assert results[-1].order == space.order
+    assert space.nrows == [1, 5, 15, 35, 70, 126]
+    # a batch of another length still fails to broadcast
+    short = jt.eval_ast(F2, space.point_env({"x1": np.asarray(0.3), "x2": np.asarray(-0.4),
+                                             "y1": np.zeros(3), "y2": np.asarray(0.6)}))
+    for other in (short, short.value):
+        with pytest.raises(ValueError):
+            full + other
+        with pytest.raises(ValueError):
+            full * other
+
+
+def test_coefficients_do_not_depend_on_the_space_order():
+    top = jt.eval_ast(F2, _xy_env(jt.jet_space(XY, 6))).coefficients()
+    for r in range(7):
+        low = jt.eval_ast(F2, _xy_env(jt.jet_space(XY, r))).coefficients()
+        assert len(low) == jt.jet_space(XY, r).ncoef
+        for mu, c in low.items():
+            assert np.array_equal(c, top[mu]), (r, mu)
