@@ -2,7 +2,7 @@
 
 Commands: geom, tension, bitension, energy, bienergy, check <suite>,
 identity-analysis.  Exit codes: 0 all checks pass, 1 check failure,
-2 configuration error, 3 numerical failure.
+2 configuration error, 3 numerical failure or internal error.
 """
 
 from __future__ import annotations
@@ -158,6 +158,15 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
                                        abs(float(_values(lhs)) - float(_values(rhs))) / scale)
     for name, value in worst.items():
         rep.check(name, value, tol)
+    if "map" in cfg.data:
+        map = cfg.smooth_map()
+        worst_tau = 0.0
+        for x, y in cfg.sample_points(20):
+            mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 4), codomain_order=1)
+            tau = _values(mg.tension)
+            gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
+            worst_tau = max(worst_tau, gap / max(1.0, float(np.max(np.abs(tau)))))
+        rep.check("tension_expanded_vs_structural", worst_tau, tol)
     if "perturbation" in cfg.data:
         setup = cfg.perturbation()
         worst33 = worst_split = 0.0
@@ -368,6 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rep = run(args)
+        text = rep.render(args.format)
     except (ConfigError, ExpressionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -375,11 +385,18 @@ def main(argv=None) -> int:
             OrderLimitError, ChartError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    text = rep.render(args.format)
+    except Exception as err:  # the last resort: one line, never a traceback
+        message = str(err).replace("\n", " ")
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return 3
     print(text, end="")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"config error: cannot write --out file: {err}", file=sys.stderr)
+            return 2
     return 1 if rep.failed else 0
 
 

@@ -257,7 +257,10 @@ class Jet:
         """taylor_coeffs[k] = h^(k)(value)/k!, each a scalar or batch array."""
         u = Jet(self.space, self.c.copy(), self.order)
         u.c[0] = 0.0
-        acc = self.space.constant(np.broadcast_to(taylor_coeffs[0], self.c.shape[1:]))
+        # the constant term, truncated like `self`: an order-0 argument stays order 0
+        acc = Jet(self.space, np.zeros((self.space.nrows[self.order],) + self.c.shape[1:]),
+                  self.order)
+        acc.c[0] = taylor_coeffs[0]
         power = None
         for k in range(1, self.order + 1):
             power = u if power is None else power * u

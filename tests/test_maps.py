@@ -11,6 +11,7 @@ import pytest
 from finvar import expressions as ex
 from finvar import jets as jt
 from finvar.classical import ClassicalPipeline
+from finvar.config import RunConfig
 from finvar.errors import ConfigError, ExpressionError
 from finvar.finsler import (DomainGeometry, FinslerStructure, PointState,
                             TorusChart, _values)
@@ -187,6 +188,32 @@ def test_sphere_bitension_specialization():
         trace = sum(dphi[:, i] * (dphi[:, i] @ gt @ rep.tau) for i in range(2))
         special = -lap - K * trace + 2.0 * e * K * rep.tau
         assert np.allclose(rep.tau2, special, rtol=1e-9)
+
+
+README_CONFIG = {
+    "dimension": 2,
+    "domain": {"type": "randers", "alpha": [["1", "0"], ["0", "1"]],
+               "beta": [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"],
+               "chart": {"type": "torus", "periods": [1.0, 1.0]}},
+    "codomain": {"type": "sphere", "radius": 1.0},
+    "map": {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"]},
+}
+
+
+@pytest.mark.parametrize("components", [
+    README_CONFIG["map"]["components"],
+    [f"0.8 + 0.5*cos(x1*{TWO_PI!r}) + 0.2*sin(x2*{TWO_PI!r})",
+     f"0.4*sin(x1*{TWO_PI!r}) + 0.3*cos(x2*{TWO_PI!r})"],
+])
+def test_expanded_tension_matches_the_structural_form(components):
+    # Randers torus -> unit sphere: the README map and the benchmark's base map
+    cfg = RunConfig(dict(README_CONFIG, map={"components": components}))
+    m = cfg.smooth_map()
+    for x, y in cfg.sample_points(20):
+        mg = MapGeometry(m, DomainGeometry(m.fs, x, y, 4), codomain_order=1)
+        tau = _values(mg.tension)
+        gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
+        assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(tau))))
 
 
 def test_pullback_connection_is_metric_compatible():

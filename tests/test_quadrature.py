@@ -3,6 +3,7 @@ error scaling, bit-level reproducibility, and the integrated variational
 checks."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from finvar import expressions as ex
 from finvar import jets as jt
 from finvar import quadrature as q
 from finvar.classical import ClassicalPipeline
-from finvar.errors import ConfigError, QuadratureError
+from finvar.errors import ConfigError, DomainEvalError, QuadratureError
 from finvar.finsler import BoxChart, DomainGeometry, FinslerStructure, TorusChart, _values
 from finvar.maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 from finvar.riemann import RiemannStructure
@@ -292,3 +293,71 @@ def test_self_adjointness_is_identical_across_worker_counts():
     three = q.self_adjointness_check(m, X, Y, q.QuadratureSpec(x_resolution=3, y_samples=64,
                                                                seed=53, workers=3))
     assert one == three
+
+
+def _shared_outputs(x_resolution, workers):
+    """Value and stderr of every integral and check, on small specs."""
+    fs = _torus_euclid()
+    fam = _sphere_family()
+    spec = q.QuadratureSpec(x_resolution=x_resolution, y_samples=16, seed=59,
+                            workers=workers)
+    ests = [q.energy(fam.base, spec), q.bienergy(fam.base, spec),
+            q.integrate("y1*y2 + sin(x1)", fs, spec),
+            q.integrate(lambda x, y: np.cos(x[0]) * y[0] ** 2, fs, spec)]
+    out = [v for e in ests for v in (e.value, e.stderr)]
+    first = q.first_variation_check(fam, spec)
+    base = SmoothMap(["x1*0 + 0.4", "x1*0 - 0.2"], fs, fam.base.rs)
+    flat_fam = VariationFamily(
+        [f"0.4 + eps1*sin(x1*{TWO_PI!r}) + 0.3*eps2*cos(x2*{TWO_PI!r})",
+         f"-0.2 + eps2*sin(x2*{TWO_PI!r}) + 0.2*eps1*cos(x1*{TWO_PI!r})"],
+        fs, fam.base.rs, base=base)
+    second = q.second_variation_check(flat_fam, spec)
+    out += [first.fd, first.analytic, first.stderr, second.fd, second.analytic,
+            second.stderr, second.extras["h21"]]
+    div = q.divergence_theorem_check(fs, [f"sin(x1*{TWO_PI!r})", f"cos(x2*{TWO_PI!r})"],
+                                     spec, f=f"sin(x1*{TWO_PI!r})*y1")
+    return out + list(div.values())
+
+
+def test_node_sharing_is_bitwise_identical_for_any_worker_count():
+    one = _shared_outputs(3, 1)
+    for workers in (2, 3):
+        assert _shared_outputs(3, workers) == one, workers
+    # more workers than nodes
+    assert _shared_outputs(2, 7) == _shared_outputs(2, 1)
+
+
+def _failing_integral(failing_nodes, workers):
+    """integrate() whose callable raises at the given node indices (3x3 nodes)."""
+    def fn(x, y):
+        node = 3 * round(3 * x[0]) + round(3 * x[1])
+        if node in failing_nodes:
+            raise DomainEvalError(f"integrand left its domain at node {node}")
+        return np.ones(y.shape[1])
+
+    spec = q.QuadratureSpec(x_resolution=3, y_samples=16, seed=61, workers=workers)
+    with pytest.raises(Exception) as info:
+        q.integrate(fn, _torus_euclid(), spec)
+    return type(info.value), str(info.value)
+
+
+def _no_children_and_fds():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_a_failing_node_raises_what_a_serial_loop_raises():
+    fds = _no_children_and_fds()
+    # node 1 is outside stride 0 at two workers; of nodes 3 (a child's) and
+    # 4 (the caller's), and of nodes 2 and 5, the lower index wins
+    for failing in ({1}, {3, 4}, {2, 5}):
+        serial = _failing_integral(failing, 1)
+        assert serial[0] is DomainEvalError
+        assert serial[1].endswith(f"node {min(failing)}")
+        for workers in (2, 3):
+            assert _failing_integral(failing, workers) == serial, (failing, workers)
+        assert _no_children_and_fds() == fds
+    q.integrate("y1*0 + 1", _torus_euclid(), q.QuadratureSpec(x_resolution=3, y_samples=16,
+                                                              workers=3))
+    assert _no_children_and_fds() == fds
