@@ -45,6 +45,9 @@ def _parse_point(text: str, dim: int):
         vals = [float(p) for p in parts]
     except ValueError as err:
         raise ConfigError(f"--point: {err}") from err
+    bad = [v for v in vals if not np.isfinite(v)]
+    if bad:
+        raise ConfigError(f"--point: non-finite value {bad[0]}")
     return np.array(vals[:dim]), np.array(vals[dim:])
 
 

@@ -106,7 +106,14 @@ class PointState:
 
 
 class FinslerStructure:
-    """Immutable Finsler structure: chart + fundamental function F²(x, y)."""
+    """Immutable Finsler structure: chart + fundamental function F²(x, y).
+
+    With `validate` (the default of every constructor but `euclidean`), the
+    structure is checked at 64 fixed sample points: F² finite and positive,
+    F positively 1-homogeneous in y, g positive definite and, for the
+    perturbed family, b 2-homogeneous in y. A failure raises `ConfigError`
+    for the first failing sample in draw order (see `_validate`).
+    """
 
     def __init__(self, dim: int, f2_ast, chart=None, label: str = "custom",
                  base_matrix_asts=None, b_ast=None, validate: bool = True):
@@ -202,34 +209,66 @@ class FinslerStructure:
     # --- construction-time validation --------------------------------------------
 
     def _validate(self, samples: int = 64, seed: int = 20240611):
+        """Check the hypotheses on F at `samples` points drawn from `seed`.
+
+        Each point has x uniform in the chart's sample box and y in a random
+        direction with |y| uniform in [0.5, 2]. Four checks run at every
+        point, in this order: F² is finite and positive; F is positively
+        1-homogeneous in y (λ = 0.5, 2, 7, to 1e-10 relative); the metric
+        g_ij = ½∂²F²/∂yⁱ∂yʲ is positive definite; and, for the perturbed
+        family, b is 2-homogeneous in y. Each check runs once over all the
+        points, and the `ConfigError` is that of the first failing point in
+        draw order at its first failing check. A `DomainEvalError` raised by
+        an evaluation at any point propagates, also when an earlier point, or
+        an earlier check at the same point, fails a check: a loop over the
+        points would have stopped at that failure before the evaluation.
+        """
         rng = np.random.default_rng(seed)
         box = self.chart.sample_box()
         n = self.dim
+        xs, ys = [], []
         for _ in range(samples):
-            x = np.array([rng.uniform(lo, hi) for lo, hi in box])
+            xs.append(np.array([rng.uniform(lo, hi) for lo, hi in box]))
             y = rng.normal(size=n)
             y *= rng.uniform(0.5, 2.0) / np.linalg.norm(y)
-            f2 = self.f2_value(x, y)
-            if not np.isfinite(f2) or f2 <= 0:
-                raise ConfigError(f"F(x,y) not positive at sample x={x}, y={y}")
+            ys.append(y)
+        x, y = np.stack(xs, axis=1), np.stack(ys, axis=1)
+        lams = (0.5, 2.0, 7.0)
+
+        def at(ast, yv):
+            env = dict(zip(self.xnames, x))
+            env.update(zip(self.ynames, yv))
+            return np.broadcast_to(ex.evaluate(ast, env), (samples,))
+
+        with np.errstate(all="ignore"):
+            f2 = at(self.f2_ast, y)
             f = np.sqrt(f2)
-            for lam in (0.5, 2.0, 7.0):
-                f_lam = np.sqrt(self.f2_value(x, lam * y))
-                if abs(f_lam - lam * f) > 1e-10 * lam * f:
-                    raise ConfigError("F is not positively 1-homogeneous in y")
-            g = _metric_values(self, x, y)
-            if np.linalg.eigvalsh(g).min() <= 0:
-                raise ConfigError(f"metric tensor not positive definite at sample x={x}, y={y}")
+            failed = [~np.isfinite(f2) | (f2 <= 0),
+                      np.any([abs(np.sqrt(at(self.f2_ast, lam * y)) - lam * f) > 1e-10 * lam * f
+                              for lam in lams], axis=0)]
+            # g_ij from one order-2 jet of F² in y, each x entering as a constant
+            space = jt.jet_space(self.ynames, 2)
+            env = {name: space.constant(xi) for name, xi in zip(self.xnames, x)}
+            env.update(space.point_env(dict(zip(self.ynames, y))))
+            f2_jet, e = jt.eval_ast(self.f2_ast, env), np.eye(n, dtype=int)
+            g = np.array([[0.5 * f2_jet.partial(tuple(e[i] + e[j])) for j in range(n)]
+                          for i in range(n)])
+            failed.append(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)).min(axis=-1) <= 0)
             if self.b_ast is not None:
-                env = {self.xnames[i]: x[i] for i in range(n)}
-                env.update({self.ynames[i]: y[i] for i in range(n)})
-                b = ex.evaluate(self.b_ast, env)
-                for lam in (0.5, 2.0, 7.0):
-                    env_l = dict(env)
-                    env_l.update({self.ynames[i]: lam * y[i] for i in range(n)})
-                    b_lam = ex.evaluate(self.b_ast, env_l)
-                    if abs(b_lam - lam * lam * b) > 1e-10 * lam * lam * abs(b) + 1e-12:
-                        raise ConfigError("perturbation b is not 2-homogeneous in y")
+                b = at(self.b_ast, y)
+                failed.append(np.any([abs(at(self.b_ast, lam * y) - lam * lam * b)
+                                      > 1e-10 * lam * lam * abs(b) + 1e-12
+                                      for lam in lams], axis=0))
+        failed = np.array(failed)
+        bad = np.flatnonzero(failed.any(axis=0))
+        if bad.size == 0:
+            return
+        k = bad[0]
+        x, y = xs[k], ys[k]
+        raise ConfigError([f"F(x,y) not positive at sample x={x}, y={y}",
+                           "F is not positively 1-homogeneous in y",
+                           f"metric tensor not positive definite at sample x={x}, y={y}",
+                           "perturbation b is not 2-homogeneous in y"][np.argmax(failed[:, k])])
 
 
 def _quadratic_form_ast(matrix_asts, dim):
@@ -246,13 +285,6 @@ def _quadratic_form_ast(matrix_asts, dim):
     if total is None:
         raise ConfigError("metric matrix is identically zero")
     return total
-
-
-def _metric_values(fs, x, y):
-    """Plain n×n metric value matrix at one (x, y), used for validation."""
-    geom = DomainGeometry(fs, x, y, order=2)
-    return np.array([[np.asarray(e.value if isinstance(e, jt.Jet) else e)
-                      for e in row] for row in geom.g], dtype=float)
 
 
 # --- the pointwise geometry pipeline ---------------------------------------------

@@ -75,11 +75,12 @@ class VariationFamily:
             raise ConfigError("variation family components do not match codomain dimension")
         self.base = base if base is not None else self.map_at(0.0, 0.0)
         if base is not None:
+            at_zero = self.map_at(0.0, 0.0)
             rng = np.random.default_rng(321)
             box = fs.chart.sample_box()
             for _ in range(validate_samples):
                 x = np.array([rng.uniform(lo, hi) for lo, hi in box])
-                gap = np.max(np.abs(self.map_at(0.0, 0.0).value(x) - base.value(x)))
+                gap = np.max(np.abs(at_zero.value(x) - base.value(x)))
                 if gap > 1e-12:
                     raise ConfigError(f"family at eps = 0 deviates from the base map by {gap}")
 

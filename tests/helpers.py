@@ -82,3 +82,43 @@ def multi_indices(nvars, max_order):
 
     rec([], max_order)
     return out
+
+
+def reference_validate(fs, samples=64, seed=20240611):
+    """`FinslerStructure._validate` as a loop over the samples, one at a time.
+
+    Draws the same points and runs the same checks in the same order as the
+    engine's batched validation; an oracle for its outcome and its message.
+    """
+    from finvar import finsler as fn
+    from finvar.errors import ConfigError
+
+    rng = np.random.default_rng(seed)
+    box = fs.chart.sample_box()
+    n = fs.dim
+    for _ in range(samples):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        y = rng.normal(size=n)
+        y *= rng.uniform(0.5, 2.0) / np.linalg.norm(y)
+        f2 = fs.f2_value(x, y)
+        if not np.isfinite(f2) or f2 <= 0:
+            raise ConfigError(f"F(x,y) not positive at sample x={x}, y={y}")
+        f = np.sqrt(f2)
+        for lam in (0.5, 2.0, 7.0):
+            f_lam = np.sqrt(fs.f2_value(x, lam * y))
+            if abs(f_lam - lam * f) > 1e-10 * lam * f:
+                raise ConfigError("F is not positively 1-homogeneous in y")
+        geom = fn.DomainGeometry(fs, x, y, order=2)
+        g = np.array([[np.asarray(e.value) for e in row] for row in geom.g], dtype=float)
+        if np.linalg.eigvalsh(g).min() <= 0:
+            raise ConfigError(f"metric tensor not positive definite at sample x={x}, y={y}")
+        if fs.b_ast is not None:
+            env = {fs.xnames[i]: x[i] for i in range(n)}
+            env.update({fs.ynames[i]: y[i] for i in range(n)})
+            b = ex.evaluate(fs.b_ast, env)
+            for lam in (0.5, 2.0, 7.0):
+                env_l = dict(env)
+                env_l.update({fs.ynames[i]: lam * y[i] for i in range(n)})
+                b_lam = ex.evaluate(fs.b_ast, env_l)
+                if abs(b_lam - lam * lam * b) > 1e-10 * lam * lam * abs(b) + 1e-12:
+                    raise ConfigError("perturbation b is not 2-homogeneous in y")

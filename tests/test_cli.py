@@ -194,6 +194,8 @@ def test_output_block_is_rejected(tmp_path, capsys):
      ["--point", "0.1,0.2,1,0"]),
     ("geom", {"domain": {"type": "euclidean", "chart": {"type": "box", "bounds": [[0, 1], 2]}}},
      ["--point", "0.1,0.2,1,0"]),
+    ("tension", {}, ["--point", "nan,0.2,1,0"]),
+    ("tension", {}, ["--point", "0.1,0.2,inf,0"]),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})

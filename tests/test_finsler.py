@@ -2,15 +2,19 @@
 divergence, horizontal Laplacian, geodesics.  Oracles are finite differences,
 closed forms, and the independent Riemannian code path in `riemann`."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finvar import expressions as ex
 from finvar import finsler as fn
 from finvar import riemann as rm
-from finvar.errors import ChartError, ConfigError
+from finvar.errors import ChartError, ConfigError, DomainEvalError
 
-from helpers import fd_partial
+from helpers import fd_partial, random_expression, reference_validate
 
 GEN_MATRIX = [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"],
               ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]]
@@ -229,13 +233,106 @@ def test_zero_section_floor_and_chart_violations():
 
 
 def test_invalid_structures_rejected():
+    # the sampled checks are pinned in test_validation_outcomes_are_pinned
     with pytest.raises(ConfigError):
         fn.FinslerStructure.euclidean(1)
-    # F = y1^2 + y2^2 is 2-homogeneous, not 1-homogeneous
-    with pytest.raises(ConfigError):
-        fn.FinslerStructure.custom("y1^2 + y2^2", 2)
-    # Randers with |b| >= 1 has an indefinite fundamental tensor
-    with pytest.raises(ConfigError):
-        fn.FinslerStructure.randers([["1", "0"], ["0", "1"]], ["3/2", "0"], 2)
     with pytest.raises(ConfigError):
         fn.FinslerStructure(2, ex.parse("y1^2 + y2^2 + z1", ["y1", "y2", "z1"]))
+
+
+IDENTITY = [["1", "0"], ["0", "1"]]
+BOX_2 = fn.BoxChart(((-2.0, 2.0), (-2.0, 2.0)))
+S = fn.FinslerStructure
+
+
+def _outcome(call):
+    """None when `call` returns, else the class and message of what it raises."""
+    try:
+        call()
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+def _unvalidated(build):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S, "_validate", lambda self: None)
+        return build()
+
+
+@pytest.mark.parametrize("build, expected", [
+    (_randers, None),
+    (lambda: S.riemannian(GEN_MATRIX, 2), None),
+    (lambda: S.perturbed(GEN_MATRIX, "y1^2*y2^2/(y1^2 + y2^2)*sin(x1)", 2, scale=0.1), None),
+    (lambda: S.custom("(y1^4 + y1^2*y2^2 + y2^4)^0.25", 2), None),
+    (lambda: S.randers([["1", "0", "0"], ["0", "1 + x1^2/4", "0"], ["0", "0", "1"]],
+                       ["x2/5", "0", "x1/4"], 3), None),
+    (lambda: S.custom("y1^2 + y2^2", 2),
+     "F is not positively 1-homogeneous in y"),
+    (lambda: S.randers(IDENTITY, ["3/2", "0"], 2),
+     "metric tensor not positive definite at sample "
+     "x=[-0.60855926  0.01663426], y=[-0.81092242  0.45431154]"),
+    # |b| = 0.9|x1| reaches 1 only for |x1| > 1.11, so an early sample passes
+    (lambda: S.randers(IDENTITY, ["0.9*x1", "0"], 2, chart=BOX_2),
+     "metric tensor not positive definite at sample "
+     "x=[-1.59458084 -1.68494277], y=[ 1.32207409 -1.22368614]"),
+    # 1-homogeneous and positive, but its indicatrix is not convex
+    (lambda: S.custom("sqrt(y1^2 + y2^2) - 0.8*y1*y2/sqrt(y1^2 + y2^2)", 2),
+     "metric tensor not positive definite at sample "
+     "x=[-0.62071821  0.99974266], y=[ 0.59547348 -0.67293113]"),
+    (lambda: S.perturbed(IDENTITY, "y1*y2", 2, scale=3.0),
+     "F(x,y) not positive at sample "
+     "x=[-0.62071821  0.99974266], y=[ 0.59547348 -0.67293113]"),
+    # 3-homogeneous b, scaled so far down that F passes its 1e-10 check
+    (lambda: S.perturbed(IDENTITY, "y1^2*y2", 2, scale=1e-13),
+     "perturbation b is not 2-homogeneous in y"),
+    (lambda: S.custom("sqrt(y1^2 + y2^2)*(1 + log(x1 + 1.5)/10)", 2, chart=BOX_2),
+     (DomainEvalError, "log of a non-positive value")),
+], ids=["randers", "riemannian", "perturbed", "custom", "randers-n3", "two-homogeneous",
+        "randers-b-1.5", "randers-b-0.9x1", "non-convex", "negative-perturbation",
+        "b-not-2-homogeneous", "evaluation-error"])
+def test_validation_outcomes_are_pinned(build, expected):
+    if isinstance(expected, str):
+        expected = (ConfigError, expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(build) == expected
+    fs = _unvalidated(build)
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: reference_validate(fs)) == expected
+
+
+def test_an_evaluation_error_outranks_an_earlier_failed_check():
+    # the one outcome that differs from the sample loop: F is 2-homogeneous,
+    # so the loop stops at sample 0, before any x1 < -1.5 makes log raise
+    fs = _unvalidated(lambda: S.custom(
+        "(y1^2 + y2^2)*(1 + log(x1 + 1.5)/10)", 2, chart=BOX_2))
+    with pytest.raises(ConfigError, match="not positively 1-homogeneous"):
+        reference_validate(fs)
+    with pytest.raises(DomainEvalError, match="log of a non-positive value"):
+        fs._validate()
+
+
+def _randers_like(seed, size):
+    """Randers F = α + β on [-1, 1]²: α² from a matrix of random expressions
+    with diagonal ≥ 0.5 and off-diagonal ≤ 0.2 (so α² > 0), β of magnitude
+    `size`, large enough at the top of its range to break positivity of g."""
+    rng = np.random.default_rng(seed)
+    e = [random_expression(rng, ["x1", "x2"], depth=2) for _ in range(5)]
+    c = ex.Const
+    off = ex.BinOp("*", c(0.2), ex.Func("sin", e[2]))
+    alpha = [[ex.BinOp("+", c(1.5), ex.Func("sin", e[0])), off],
+             [off, ex.BinOp("+", c(1.5), ex.Func("cos", e[1]))]]
+    beta = [ex.BinOp("*", c(size), ex.Func("sin", e[3])),
+            ex.BinOp("*", c(size), ex.Func("cos", e[4]))]
+    return S.randers(alpha, beta, 2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(0.0, 1.5))
+def test_batched_validation_matches_the_sample_loop(seed, size):
+    fs = _unvalidated(lambda: _randers_like(seed, size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _outcome(fs._validate)
+    with np.errstate(all="ignore"):
+        assert batched == _outcome(lambda: reference_validate(fs))
