@@ -31,6 +31,7 @@ ignored.  The full schema (all keys optional unless stated):
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -74,12 +75,16 @@ def _require_keys(block: dict, allowed: set, where: str):
 
 
 def _number(value, kind, where: str):
-    """`kind(value)`, or a ConfigError naming the key `where` of a mistyped value."""
+    """`kind(value)`, or a ConfigError naming the key `where` of a mistyped or
+    non-finite value (JSON's `NaN` and `Infinity` included)."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+        number = None
+    if number is None or kind is float and not math.isfinite(number):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    return number
 
 
 def _numbers(values, kind, where: str, length=None) -> tuple:
@@ -226,7 +231,10 @@ class RunConfig:
 
     def c_grid(self):
         block = self.data.get("perturbation", {})
-        return _numbers(block.get("c_grid", DEFAULT_C_GRID), float, "perturbation.c_grid")
+        grid = _numbers(block.get("c_grid", DEFAULT_C_GRID), float, "perturbation.c_grid")
+        if not all(c > 0 for c in grid):
+            raise ConfigError(f"perturbation.c_grid entries must be > 0, got {list(grid)}")
+        return grid
 
     def quadrature_spec(self, seed_override=None) -> QuadratureSpec:
         block = dict(self.data.get("quadrature", {}))

@@ -296,6 +296,14 @@ class DomainGeometry:
     in which case every derived quantity is batched over the fiber samples.
     All members are jets; use `.value` (or `values()` on nested tables) for
     the numbers.
+
+    `env` binds each x name to a variable of the x-only jet space and each y
+    name to a variable of the full (x, y) space, both of order `order`. So
+    every x-only quantity built from `env` (the x-only parts of F², a map φ
+    and the codomain pulled back through it, x-only fields) stays in the
+    small space, and enters the full space only where it meets a
+    y-dependent jet (see `jets`). Read an x-only jet's `partial` with a
+    multi-index over the x names alone.
     """
 
     def __init__(self, fs: FinslerStructure, x, y, order: int, r_min: float = DEFAULT_R_MIN):
@@ -313,10 +321,9 @@ class DomainGeometry:
             raise ChartError(f"fiber coordinate below the zero-section floor {r_min}")
         self.x = x
         self.y = y
-        self.space = jt.jet_space(fs.xnames + fs.ynames, order)
-        vals = {fs.xnames[i]: x[i] for i in range(self.n)}
-        vals.update({fs.ynames[i]: np.asarray(y[i], dtype=np.float64) for i in range(self.n)})
-        self.env = self.space.point_env(vals)
+        self.env = jt.jet_space(fs.xnames, order).point_env(dict(zip(fs.xnames, x)))
+        self.env.update(jt.jet_space(fs.xnames + fs.ynames, order).point_env(
+            {fs.ynames[i]: np.asarray(y[i], dtype=np.float64) for i in range(self.n)}))
 
     # -- fundamental jets ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expressions as ex
 from . import jets as jt
-from .errors import ConfigError
+from .errors import ConfigError, DomainEvalError
 from .finsler import DomainGeometry, FinslerStructure, PointState, _values
 from .maps import MapGeometry, SmoothMap
 from .riemann import RiemannStructure, christoffel_table
@@ -295,10 +295,12 @@ def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8,
         tau_sup[ci] = t_max
         tau2_sup[ci] = t2_max
 
-    def slope(vals):
-        if np.any(vals <= 0):
-            return float("nan")
+    def slope(vals, name):
+        zero = np.flatnonzero(vals <= 0)
+        if zero.size:
+            raise DomainEvalError(f"log-log slope of sup |{name}| is undefined: "
+                                  f"the sup-norm is 0 at c = {float(c_grid[zero[0]])!r}")
         return float(np.polyfit(np.log(c_grid), np.log(vals), 1)[0])
 
     return ScalingReport(c_grid=c_grid, tau_sup=tau_sup, tau2_sup=tau2_sup,
-                         slope_tau=slope(tau_sup), slope_tau2=slope(tau2_sup))
+                         slope_tau=slope(tau_sup, "tau"), slope_tau2=slope(tau2_sup, "tau2"))

@@ -11,6 +11,21 @@ spaces of different order.
 Coefficients carry an optional trailing batch shape, so one Jet can
 represent the same expression evaluated at many fiber points at once;
 all arithmetic broadcasts over the batch.
+
+A quantity that depends on the base point x alone lives in the x-only space
+`jet_space(xnames, r)`, beside the full (x, y) space `jet_space(xnames +
+ynames, r)`: at order 6 it has 28 rows instead of 210, and a product of two
+x-only jets takes 210 Leibniz triples instead of 3,003. `+` and `*` of jets
+from two spaces embed the jet of the smaller space, whose names must be a
+prefix of the other's, into the larger one (its rows scattered into zeros at
+the rows that involve the other names) and go on with the larger space's
+arithmetic; each jet keeps its embedded copy, so a shared jet is embedded
+once. This changes no bit: every output row of an x-only product sums the
+same Leibniz pairs in the same order in either space, and a mixed product
+runs the larger space's full table, zeros included, because skipping them
+would regroup `np.add.reduceat`'s sums. `deriv` by a name outside the jet's
+space gives a zero jet, and `partial(mu)` takes a multi-index over the jet's
+own space, so an x-only jet is read with an x-only multi-index.
 """
 
 from __future__ import annotations
@@ -69,6 +84,11 @@ class JetSpace:
                 shifted = tuple(e[k] + (1 if k == v else 0) for k in range(self.m))
                 self._deriv_idx[v, i] = self.index[shifted]
         self._mul_tables: dict = {}
+        # all orders' tables are built with the space: `benchmarks/tracing.py`
+        # reads the left operand's table at a product's order, also when the
+        # product of an x-only jet and an (x, y) jet ran the (x, y) table
+        for r in range(order + 1):
+            self._mul_table(r)
 
     def _mul_table(self, r: int):
         """Leibniz triples for products valid to total order r, grouped by output index."""
@@ -138,19 +158,47 @@ class Jet:
     `(space.nrows[order],) + batch`.
     """
 
-    __slots__ = ("space", "c", "order")
+    __slots__ = ("space", "c", "order", "_embedded")
 
     def __init__(self, space: JetSpace, c: np.ndarray, order: int):
         self.space = space
         self.c = c
         self.order = order
+        self._embedded = None
+
+    def _in(self, space: JetSpace) -> "Jet":
+        """This jet in `space`, whose names extend this jet's own; remembered.
+
+        Both tables are in graded order, so the rows of `space` whose extra
+        exponents are all 0 are this jet's rows, in the same order."""
+        up = self._embedded
+        if up is None or up.space is not space:
+            m = self.space.m
+            if space.names[:m] != self.space.names:
+                raise ValueError(f"jets over {self.space.names} and {space.names} do not "
+                                 "combine: neither variable list is a prefix of the other")
+            order = min(self.order, space.order)
+            own = ~space.exps[:space.nrows[order], m:].any(axis=1)
+            c = np.zeros(own.shape + self.c.shape[1:])
+            c[own] = self.c[:self.space.nrows[order]]
+            up = self._embedded = Jet(space, c, order)
+        return up
+
+    def _common(self, other: "Jet"):
+        """Both jets in the space of the one with more variables."""
+        if self.space.names == other.space.names:
+            return self, other
+        if self.space.m < other.space.m:
+            return self._in(other.space), other
+        return self, other._in(self.space)
 
     @property
     def value(self):
         return self.c[0]
 
     def partial(self, mu) -> np.ndarray:
-        """Plain mixed partial for the multi-index `mu` (tuple over space vars)."""
+        """Plain mixed partial for the multi-index `mu` over the jet's own
+        space variables (an x-only jet takes an x-only multi-index)."""
         if sum(mu) > self.order:
             raise OrderLimitError(f"partial {mu} beyond effective order {self.order}")
         return self.c[self.space.index[tuple(mu)]]
@@ -174,6 +222,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
+            self, other = self._common(other)
             order = min(self.order, other.order)
             n = self.space.nrows[order]
             a, b = self._align_pair(self.c[:n], other.c[:n])
@@ -199,6 +248,7 @@ class Jet:
         if not isinstance(other, Jet):
             c, other = self._align(other)
             return Jet(self.space, c * other, self.order)
+        self, other = self._common(other)
         sp = self.space
         r = min(self.order, other.order)
         ii, jj, ww, starts = sp._mul_table(r)
@@ -244,11 +294,14 @@ class Jet:
     # --- derivatives ------------------------------------------------------------
 
     def deriv(self, name: str) -> "Jet":
-        """Partial derivative; lowers the effective order by one."""
+        """Partial derivative; lowers the effective order by one. By a name
+        outside the jet's space it is a zero jet."""
         if self.order == 0:
             raise OrderLimitError("derivative of an order-0 jet has no trustworthy coefficients")
         sp = self.space
         order = self.order - 1
+        if name not in sp.var_pos:
+            return Jet(sp, np.zeros((sp.nrows[order],) + self.c.shape[1:]), order)
         return Jet(sp, self.c[sp._deriv_idx[sp.var_pos[name], :sp.nrows[order]]], order)
 
     # --- analytic functions (truncated composition h(f) = sum h_k (f-f0)^k) ----

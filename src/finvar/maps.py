@@ -4,7 +4,9 @@ The map φ is given by x-only component expressions.  All analysis happens in
 the domain jet algebra: the codomain metric, Christoffel symbols, curvature
 and its covariant derivative are evaluated *at φ(x)* by plugging the φ-jets
 into exact derivative expressions of g̃, so every codomain object is itself a
-domain jet and can be hit with adapted derivatives δ_i.
+domain jet and can be hit with adapted derivatives δ_i.  φ, dφ and the
+pulled-back codomain depend on x alone, so they are jets of the small x-only
+space and enter the (x, y) space only where they meet the domain geometry.
 
 Operator conventions (all indices 0-based in code):
 

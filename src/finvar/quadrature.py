@@ -49,8 +49,8 @@ class QuadratureSpec:
     Estimates are bitwise identical for any worker count. Side effects of a
     callable integrand in a child's stride do not come back to the caller.
     Without `os.fork` the nodes run serially. Two workers against one on a
-    2-core machine, medians of six: 1.14 s vs 2.21 s on a first-variation
-    check at 8×8 nodes × 128 fibers, 0.32 s vs 0.52 s on a bienergy at 4×4 ×
+    2-core machine, medians of six: 2.64 s vs 4.68 s on a first-variation
+    check at 8×8 nodes × 128 fibers, 0.82 s vs 1.42 s on a bienergy at 4×4 ×
     2048. Every integral and every check draws each node's fibers once.
     """
 
@@ -74,6 +74,11 @@ class QuadratureSpec:
             raise ConfigError("y sample count must be >= 2")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        if not (math.isfinite(self.r_min) and self.r_min >= 0):
+            raise ConfigError(f"quadrature r_min must be a finite number >= 0, got {self.r_min!r}")
+        # the bounding ball has radius safety / min F(x, u): below 1 it cuts B_x
+        if not (math.isfinite(self.safety) and self.safety >= 1):
+            raise ConfigError(f"quadrature safety must be a finite number >= 1, got {self.safety!r}")
         if not 0 <= self.seed < 2 ** 32:
             # the Philox key is (seed << 32) + node index in 64 bits
             raise ConfigError("seed must be in [0, 2^32)")

@@ -10,6 +10,7 @@ from finvar.cli import main
 from finvar.report import Report
 
 TWO_PI = 2 * math.pi
+NAN, INF = float("nan"), float("inf")     # written to the config as JSON NaN, Infinity
 
 EUCLID_TORUS = {
     "dimension": 2,
@@ -196,6 +197,21 @@ def test_output_block_is_rejected(tmp_path, capsys):
      ["--point", "0.1,0.2,1,0"]),
     ("tension", {}, ["--point", "nan,0.2,1,0"]),
     ("tension", {}, ["--point", "0.1,0.2,inf,0"]),
+    ("energy", {"domain": {"type": "euclidean",
+                           "chart": {"type": "torus", "periods": [NAN, 1.0]}}}, []),
+    ("energy", {"domain": {"type": "euclidean",
+                           "chart": {"type": "box", "bounds": [[0, INF], [0, 1]]}}}, []),
+    ("tension", {"codomain": {"type": "sphere", "radius": NAN}}, []),
+    ("tension", {"tolerances": {"harmonic": NAN}}, []),
+    ("tension", {"domain": {"type": "perturbed", "matrix": [["1", "0"], ["0", "1"]],
+                            "b": "x1*y1^2", "scale": INF}}, []),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "r_min": NAN}}, []),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "r_min": -1.0}}, []),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "safety": INF}}, []),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "safety": NAN}}, []),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "safety": 0.5}}, []),
+    ("identity-analysis", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, NAN]}}, []),
+    ("identity-analysis", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, 0.0]}}, []),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
@@ -214,3 +230,11 @@ def test_unexpected_exception_is_exit_3_with_one_line(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: unexpected state\n"
     assert captured.out == ""
+
+
+def test_a_zero_scaling_slope_is_exit_3_with_one_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, "domain": {"type": "euclidean"},
+                                        "perturbation": {"b": "0*y1^2", "c_grid": [0.01, 0.02]}})
+    assert main(["identity-analysis", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: log-log slope") and err.count("\n") == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finvar import identity as idn
-from finvar.errors import ConfigError
+from finvar.errors import ConfigError, DomainEvalError
 from finvar.finsler import BoxChart, PointState
 
 BOX = BoxChart(((-1.0, 1.0), (-1.0, 1.0)))
@@ -131,3 +131,9 @@ def test_notation_note_is_reported():
     setup = _generic_setup()
     rep = idn.identity_tension(setup, _sample_points(1, 8)[0])
     assert "direction" in rep.notation_note
+
+
+def test_a_zero_sup_norm_has_no_slope():
+    setup = idn.PerturbationSetup(EYE, "0*y1^2", 2, chart=BOX)
+    with pytest.raises(DomainEvalError, match="sup-norm is 0 at c = 0.01"):
+        idn.linearized_scaling(setup, n_points=2)

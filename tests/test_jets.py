@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finvar import expressions as ex
 from finvar import jets as jt
@@ -156,3 +158,66 @@ def test_functions_of_an_order_zero_jet_stay_order_zero():
         assert out.order == 0 and out.c.shape[0] == space.nrows[0], fn
         with pytest.raises(OrderLimitError):
             out.partial((1, 0))
+
+
+# --- x-only jets and their embedding into the (x, y) space -------------------------
+
+XN = ("x1", "x2")
+
+
+def _env(names, order, x, y=None):
+    """Variables of jet_space(names, order) at x (and y when names has y1, y2)."""
+    vals = dict(zip(XN, x))
+    if y is not None:
+        vals.update(zip(("y1", "y2"), y))
+    return jt.jet_space(names, order).point_env({k: vals[k] for k in names})
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 6),
+       xbatch=st.booleans(), ybatch=st.booleans())
+def test_x_only_jets_embed_bitwise(seed, order, xbatch, ybatch):
+    rng = np.random.default_rng(seed)
+    x = [rng.uniform(-0.8, 0.8, size=5 if xbatch else None) for _ in XN]
+    y = [rng.uniform(-0.8, 0.8, size=5 if ybatch else None) for _ in XN]
+    node = random_expression(rng, XN)
+    small = jt.eval_ast(node, _env(XN, order, x))
+    full_env = _env(XY, order, x, y)
+    ref = jt.eval_ast(node, full_env)                  # the same expression in (x, y)
+    space = ref.space
+    assert small.space is jt.jet_space(XN, order)
+    up = small._in(space)
+    assert up.order == ref.order and np.array_equal(up.c, ref.c)
+    assert small._in(space) is up                      # embedded once, then remembered
+    other = jt.eval_ast(random_expression(rng, XY), full_env)
+    pairs = [(small + other, ref + other), (other + small, other + ref),
+             (small - other, ref - other), (other - small, other - ref),
+             (small * other, ref * other), (other * small, other * ref),
+             (small * small, ref * ref), (small + small, ref + ref)]
+    if order:
+        pairs += [(small.deriv(v), ref.deriv(v)) for v in XY]
+    for got, want in pairs:
+        if got.space is not space:                     # x-only results stay x-only
+            assert got.space is small.space
+            got = got._in(space)
+        assert got.order == want.order and np.array_equal(got.c, want.c)
+
+
+def test_unrelated_jet_spaces_do_not_combine():
+    xs = jt.eval_ast(ex.parse("x1*x2", XN), _env(XN, 3, [0.3, -0.4]))
+    ys = jt.eval_ast(ex.parse("y1 + y2", ("y1", "y2")),
+                     jt.jet_space(("y1", "y2"), 3).point_env({"y1": np.asarray(0.5),
+                                                              "y2": np.asarray(0.2)}))
+    swapped = jt.jet_space(("x2", "x1", "y1", "y2"), 3).variable("y1", 0.5)
+    for a, b in ((xs, ys), (ys, xs), (xs, swapped), (swapped, xs)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
+    # an x-only batch of another length still fails to broadcast after embedding
+    xb = jt.eval_ast(ex.parse("sin(x1)*x2", XN), _env(XN, 3, [np.zeros(3), 0.1]))
+    yb = jt.eval_ast(F2, _env(XY, 3, [0.3, -0.4], [np.linspace(-0.9, 0.9, 7), 0.6]))
+    for a, b in ((xb, yb), (yb, xb)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b

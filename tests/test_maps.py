@@ -15,6 +15,7 @@ from finvar.config import RunConfig
 from finvar.errors import ConfigError, ExpressionError
 from finvar.finsler import (DomainGeometry, FinslerStructure, PointState,
                             TorusChart, _values)
+from finvar.identity import IdentityGeometry, PerturbationSetup
 from finvar.maps import (MapGeometry, PullbackSection, SmoothMap, bitension,
                          differential, energy_density, hessian_integrand,
                          jacobi_apply, pullback_cov_deriv, rough_laplacian,
@@ -328,3 +329,40 @@ def test_map_components_must_be_base_only():
         SmoothMap(["x1 + y1", "x2"], fs, rs)
     with pytest.raises(ConfigError):
         SmoothMap(["x1"], fs, rs)
+
+
+def _x_in_the_full_space(geom):
+    """Bind the x names of `geom` to variables of the (x, y) jet space, so no
+    jet of it is x-only; before any member of `geom` is computed."""
+    fs = geom.fs
+    geom.env.update(jt.jet_space(fs.xnames + fs.ynames, geom.order).point_env(
+        dict(zip(fs.xnames, geom.x))))
+    return geom
+
+
+@pytest.mark.parametrize("y", [[0.8, -0.6], [[0.8, -0.3, 1.1], [-0.6, 0.9, 0.2]]],
+                         ids=["batch-free", "batched"])
+def test_x_only_jets_change_no_bit(y):
+    fs = FinslerStructure.randers([["1", "0"], ["0", "1"]],
+                                  [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
+                                  chart=TorusChart((1.0, 1.0)))
+    m = _periodic_map(fs, RiemannStructure.sphere(2, 1.0))
+    V1 = PullbackSection([f"sin(x1*{TWO_PI!r})", f"0.7*cos(x2*{TWO_PI!r})"])
+    V2 = PullbackSection(["0.3*x1*x2 + y1*y2", "cos(x1) - 0.2*y1^2"])
+    setup = PerturbationSetup(GEN_CODOMAIN, "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2,
+                              scale=0.05)
+    x, x_box = [0.31, 0.77], [0.31, -0.27]
+    runs, phi_vars = [], []
+    for bind in (lambda geom: geom, _x_in_the_full_space):
+        mg = MapGeometry(m, bind(DomainGeometry(fs, x, y, 6)), codomain_order=2)
+        mg8 = MapGeometry(m, bind(DomainGeometry(fs, x, y, 8)), codomain_order=3)
+        ig = IdentityGeometry(setup, x_box, y, 6)
+        bind(ig.geom)
+        routes = [ig.tau_route_b, ig.tau_route_conn,
+                  MapGeometry(setup.identity_map, ig.geom, codomain_order=1).tension]
+        values = [mg.tension, mg.bitension, mg.energy_density,
+                  mg8.hessian_integrand(V1.jets(mg8), V2.jets(mg8)), *routes]
+        runs.append([[float(v).hex() for v in np.ravel(_values(t))] for t in values])
+        phi_vars.append(len(mg.phi[0].space.names))
+    assert phi_vars == [2, 4]
+    assert runs[0] == runs[1]

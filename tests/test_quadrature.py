@@ -133,6 +133,13 @@ def test_spec_validation():
     for seed in (-1, 2 ** 32):
         with pytest.raises(ConfigError):
             q.QuadratureSpec(seed=seed)
+    # a safety below 1 would cut B_x off the bounding ball
+    for bad in ({"r_min": float("nan")}, {"r_min": float("inf")}, {"r_min": -1e-6},
+                {"safety": float("nan")}, {"safety": float("inf")}, {"safety": 0.99},
+                {"safety": -1.1}):
+        with pytest.raises(ConfigError):
+            q.QuadratureSpec(**bad)
+    assert q.QuadratureSpec(r_min=0.0, safety=1.0).safety == 1.0
 
 
 def test_first_variation_check_flat_family():
