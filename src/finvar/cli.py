@@ -24,7 +24,7 @@ from .errors import (ChartError, ConfigError, DomainEvalError, ExpressionError,
 from .finsler import DomainGeometry, PointState, _values
 from .identity import (IdentityGeometry, condition35_residual, identity_tension,
                        linearized_scaling)
-from .maps import MapGeometry
+from .maps import MapGeometry, PullbackSection
 from .report import FAIL, INFO, PASS, Report, config_hash
 
 SUITES = ("first-variation", "second-variation", "self-adjoint", "weitzenbock",
@@ -87,11 +87,10 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
     else:
         points = cfg.sample_points(10)
     order = 6 if with_bitension else 4
-    cod = 2 if with_bitension else 1
     tau_max = 0.0
     tau2_max = 0.0
     for x, y in points:
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, order), codomain_order=cod)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, order))
         tau = _values(mg.tension)
         norm = float(np.sqrt(max(0.0, float(_values(mg.inner(mg.tension, mg.tension))))))
         tau_max = max(tau_max, norm)
@@ -165,7 +164,7 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
         map = cfg.smooth_map()
         worst_tau = 0.0
         for x, y in cfg.sample_points(20):
-            mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 4), codomain_order=1)
+            mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 4))
             tau = _values(mg.tension)
             gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
             worst_tau = max(worst_tau, gap / max(1.0, float(np.max(np.abs(tau)))))
@@ -188,7 +187,7 @@ def _suite_weitzenbock(cfg: RunConfig, rep: Report, args):
     worst = 0.0
     scale = 1.0
     for x, y in cfg.sample_points(20):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6), codomain_order=2)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6))
         resid = float(np.max(np.abs(np.asarray(mg.weitzenbock_residual()))))
         scale = max(scale, abs(float(_values(mg.inner(mg.tension, mg.tension)))))
         worst = max(worst, resid)
@@ -218,11 +217,8 @@ def _suite_second_variation(cfg: RunConfig, rep: Report, args):
 
 def _suite_self_adjoint(cfg: RunConfig, rep: Report, args):
     map = cfg.smooth_map()
-    sections = cfg.sections()
-    if "X" not in sections or "Y" not in sections:
-        raise ConfigError("the self-adjoint suite requires sections.X and sections.Y")
-    out = q.self_adjointness_check(map, sections["X"], sections["Y"],
-                                   cfg.quadrature_spec(args.seed))
+    X, Y = (PullbackSection(cfg.section(key, map.rs.dim)) for key in ("X", "Y"))
+    out = q.self_adjointness_check(map, X, Y, cfg.quadrature_spec(args.seed))
     scale = max(1.0, abs(out["laplacian_xy"]), abs(out["jacobi_xy"]))
     bound = 3 * out["stderr"] + 1e-6 * scale
     rep.check("laplacian_adjoint_gap", out["laplacian_gap"], bound,
@@ -235,11 +231,8 @@ def _suite_self_adjoint(cfg: RunConfig, rep: Report, args):
 
 def _suite_divergence(cfg: RunConfig, rep: Report, args):
     fs = cfg.finsler()
-    block = cfg.data.get("sections", {})
-    if "X" not in block:
-        raise ConfigError("the divergence suite requires sections.X")
-    out = q.divergence_theorem_check(fs, block["X"], cfg.quadrature_spec(args.seed),
-                                     f=block.get("f"))
+    out = q.divergence_theorem_check(fs, cfg.section("X", fs.dim), cfg.quadrature_spec(args.seed),
+                                     f=cfg.data.get("sections", {}).get("f"))
     rep.check("divergence_integral", abs(out["divergence_integral"]),
               3 * out["divergence_stderr"] + 1e-12,
               stderr=out["divergence_stderr"])
@@ -255,12 +248,15 @@ def _suite_identity(cfg: RunConfig, rep: Report, args):
     worst = {"route_b_vs_conn": 0.0, "route_b_vs_general": 0.0,
              "adapted_derivative_of_f2": 0.0, "tension_derivative": 0.0,
              "spray_split": 0.0}
-    for x, y in cfg.sample_points(10):
-        itr = identity_tension(setup, PointState(x, y))
+    points = cfg.sample_points(10)
+    reports = []
+    for x, y in points:
+        ig = IdentityGeometry(setup, x, y, 6)
+        itr = ig.tension_report()
+        reports.append(itr)
         worst["route_b_vs_conn"] = max(worst["route_b_vs_conn"], itr.discrepancy_b_conn)
         worst["route_b_vs_general"] = max(worst["route_b_vs_general"],
                                           itr.discrepancy_b_general)
-        ig = IdentityGeometry(setup, x, y, 6)
         worst["adapted_derivative_of_f2"] = max(
             worst["adapted_derivative_of_f2"], float(np.max(np.abs(ig.eq33_residual()))))
         worst["tension_derivative"] = max(
@@ -272,10 +268,9 @@ def _suite_identity(cfg: RunConfig, rep: Report, args):
     if setup.a_asts is not None:
         worst35 = 0.0
         worst_pred = 0.0
-        for x, y in cfg.sample_points(10):
+        for (x, y), itr in zip(points, reports):
             residual, tau_pred = condition35_residual(setup, PointState(x, y))
             worst35 = max(worst35, float(np.max(np.abs(residual))))
-            itr = identity_tension(setup, PointState(x, y))
             worst_pred = max(worst_pred,
                              float(np.max(np.abs(itr.tau_route_b - tau_pred))))
         rep.check("proportionality_residual", worst35, tol)

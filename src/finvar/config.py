@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError
 from .finsler import BoxChart, FinslerStructure, TorusChart
 from .identity import DEFAULT_C_GRID, PerturbationSetup
-from .maps import PullbackSection, SmoothMap, VariationFamily
+from .maps import SmoothMap, VariationFamily
 from .quadrature import QuadratureSpec
 from .riemann import RiemannStructure
 
@@ -92,6 +92,17 @@ def _numbers(values, kind, where: str, length=None) -> tuple:
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         raise ConfigError(f"{where} must be a list of {length or 'some'} numbers, got {values!r}")
     return tuple(_number(v, kind, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _shaped(value, shape: tuple, where: str):
+    """`value` if it is a list of shape[0] entries, each of shape[1:], else a
+    ConfigError naming the key `where` (entries are checked when parsed)."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ConfigError(f"{where} must be a list of {shape[0]} entries, got {value!r}")
+    if len(shape) > 1:
+        for i, entry in enumerate(value):
+            _shaped(entry, shape[1:], f"{where}[{i}]")
+    return value
 
 
 class RunConfig:
@@ -148,9 +159,7 @@ class RunConfig:
             return TorusChart(_numbers(block.get("periods", [1.0] * n), float,
                                        "domain.chart.periods", n))
         if kind == "box":
-            bounds = block.get("bounds", [[-1.0, 1.0]] * n)
-            if not isinstance(bounds, list) or len(bounds) != n:
-                raise ConfigError(f"domain.chart.bounds must be a list of {n} [lo, hi] pairs")
+            bounds = _shaped(block.get("bounds", [[-1.0, 1.0]] * n), (n,), "domain.chart.bounds")
             return BoxChart(tuple(_numbers(b, float, f"domain.chart.bounds[{i}]", 2)
                                   for i, b in enumerate(bounds)))
         raise ConfigError(f"domain.chart.type must be 'torus' or 'box', got {kind!r}")
@@ -164,16 +173,20 @@ class RunConfig:
         if kind == "riemannian":
             if "matrix" not in block:
                 raise ConfigError("domain: 'riemannian' requires 'matrix'")
-            return FinslerStructure.riemannian(block["matrix"], n, chart=chart)
+            return FinslerStructure.riemannian(_shaped(block["matrix"], (n, n), "domain.matrix"),
+                                               n, chart=chart)
         if kind == "randers":
             if "alpha" not in block or "beta" not in block:
                 raise ConfigError("domain: 'randers' requires 'alpha' and 'beta'")
-            return FinslerStructure.randers(block["alpha"], block["beta"], n, chart=chart)
+            return FinslerStructure.randers(_shaped(block["alpha"], (n, n), "domain.alpha"),
+                                            _shaped(block["beta"], (n,), "domain.beta"),
+                                            n, chart=chart)
         if kind == "perturbed":
             if "matrix" not in block or "b" not in block:
                 raise ConfigError("domain: 'perturbed' requires 'matrix' and 'b'")
             scale = _number(block.get("scale", 1.0), float, "domain.scale")
-            return FinslerStructure.perturbed(block["matrix"], block["b"], n, chart=chart, scale=scale)
+            return FinslerStructure.perturbed(_shaped(block["matrix"], (n, n), "domain.matrix"),
+                                              block["b"], n, chart=chart, scale=scale)
         if kind == "custom":
             if "f" not in block:
                 raise ConfigError("domain: 'custom' requires 'f'")
@@ -192,42 +205,45 @@ class RunConfig:
         if kind == "custom":
             if "matrix" not in block:
                 raise ConfigError("codomain: 'custom' requires 'matrix'")
-            return RiemannStructure.custom(block["matrix"], dim)
+            return RiemannStructure.custom(_shaped(block["matrix"], (dim, dim), "codomain.matrix"),
+                                           dim)
         raise ConfigError(f"codomain.type {kind!r} is not recognized")
 
-    def smooth_map(self) -> SmoothMap:
-        block = self.data.get("map")
+    def _components(self, key: str):
+        """(<key>.components, domain, codomain), one expression per codomain dimension."""
+        block = self.data.get(key)
         if block is None or "components" not in block:
-            raise ConfigError("this command requires a 'map' block with 'components'")
-        return SmoothMap(block["components"], self.finsler(), self.riemann())
+            raise ConfigError(f"this command requires a '{key}' block with 'components'")
+        fs, rs = self.finsler(), self.riemann()
+        return _shaped(block["components"], (rs.dim,), f"{key}.components"), fs, rs
+
+    def smooth_map(self) -> SmoothMap:
+        return SmoothMap(*self._components("map"))
 
     def family(self) -> VariationFamily:
-        block = self.data.get("variation")
-        if block is None or "components" not in block:
-            raise ConfigError("this command requires a 'variation' block with 'components'")
-        return VariationFamily(block["components"], self.finsler(), self.riemann())
+        return VariationFamily(*self._components("variation"))
 
-    def sections(self):
+    def section(self, key: str, length: int) -> list:
+        """sections.<key>: a list of `length` expressions."""
         block = self.data.get("sections", {})
-        out = {}
-        for key in ("X", "Y"):
-            if key in block:
-                out[key] = PullbackSection(block[key])
-        if "f" in block:
-            out["f"] = block["f"]
-        return out
+        if key not in block:
+            raise ConfigError(f"this command requires sections.{key}")
+        return _shaped(block[key], (length,), f"sections.{key}")
 
     def perturbation(self) -> PerturbationSetup:
         block = self.data.get("perturbation")
         domain = self.data.get("domain", {})
         if block is None or "b" not in block:
             raise ConfigError("this command requires a 'perturbation' block with 'b'")
+        n = self.dimension
         matrix = domain.get("matrix")
         if matrix is None:
-            matrix = [["1" if i == j else "0" for j in range(self.dimension)]
-                      for i in range(self.dimension)]
-        return PerturbationSetup(matrix, block["b"], self.dimension,
-                                 chart=self.chart(), a_sources=block.get("a"))
+            matrix = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        a = block.get("a")
+        if a is not None:
+            a = _shaped(a, (n,), "perturbation.a")
+        return PerturbationSetup(_shaped(matrix, (n, n), "domain.matrix"), block["b"], n,
+                                 chart=self.chart(), a_sources=a)
 
     def c_grid(self):
         block = self.data.get("perturbation", {})
@@ -242,9 +258,9 @@ class RunConfig:
             block["seed"] = _number(seed_override, int, "seed")
         return QuadratureSpec(**block)
 
-    def sample_points(self, count: int = 10, seed: int = 2024):
+    def sample_points(self, count: int = 10):
         """Deterministic (x, y) samples inside the chart, ‖y‖ of order 1."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(2024)
         box = self.finsler().chart.sample_box()
         pts = []
         for _ in range(count):

@@ -196,6 +196,8 @@ class _Parser:
 
 def parse(source: str, variables) -> Node:
     """Parse `source` into an AST whose free variables are drawn from `variables`."""
+    if not isinstance(source, str):
+        raise ExpressionError(f"an expression must be a string, got {source!r}")
     parser = _Parser(_tokenize(source), variables)
     node = parser.parse_expr()
     end = parser.next()

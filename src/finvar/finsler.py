@@ -98,25 +98,25 @@ class PointState:
     x: np.ndarray
     y: np.ndarray
 
-    def __init__(self, x, y, r_min: float = DEFAULT_R_MIN):
+    def __init__(self, x, y):
         object.__setattr__(self, "x", np.asarray(x, dtype=np.float64))
         object.__setattr__(self, "y", np.asarray(y, dtype=np.float64))
-        if float(np.linalg.norm(self.y)) < r_min:
-            raise ChartError(f"fiber coordinate below the zero-section floor {r_min}")
+        if float(np.linalg.norm(self.y)) < DEFAULT_R_MIN:
+            raise ChartError(f"fiber coordinate below the zero-section floor {DEFAULT_R_MIN}")
 
 
 class FinslerStructure:
     """Immutable Finsler structure: chart + fundamental function F²(x, y).
 
-    With `validate` (the default of every constructor but `euclidean`), the
-    structure is checked at 64 fixed sample points: F² finite and positive,
-    F positively 1-homogeneous in y, g positive definite and, for the
-    perturbed family, b 2-homogeneous in y. A failure raises `ConfigError`
-    for the first failing sample in draw order (see `_validate`).
+    Every structure is checked when it is built, at 64 fixed sample points:
+    F² finite and positive, F positively 1-homogeneous in y, g positive
+    definite and, for the perturbed family, b 2-homogeneous in y. A failure
+    raises `ConfigError` for the first failing sample in draw order (see
+    `_validate`).
     """
 
     def __init__(self, dim: int, f2_ast, chart=None, label: str = "custom",
-                 base_matrix_asts=None, b_ast=None, validate: bool = True):
+                 base_matrix_asts=None, b_ast=None):
         if dim < 2:
             raise ConfigError("domain dimension must be >= 2")
         self.dim = dim
@@ -134,8 +134,7 @@ class FinslerStructure:
         extra = ex.free_vars(f2_ast) - set(self.xnames) - set(self.ynames)
         if extra:
             raise ConfigError(f"F^2 uses non-coordinate variables {sorted(extra)}")
-        if validate:
-            self._validate()
+        self._validate()
 
     # --- constructors ----------------------------------------------------------
 
@@ -144,7 +143,7 @@ class FinslerStructure:
         terms = " + ".join(f"y{i + 1}^2" for i in range(dim))
         ast = ex.parse(terms, [f"y{i + 1}" for i in range(dim)])
         eye = [[ex.Const(1.0 if i == j else 0.0) for j in range(dim)] for i in range(dim)]
-        return cls(dim, ast, chart, label="euclidean", base_matrix_asts=eye, validate=False)
+        return cls(dim, ast, chart, label="euclidean", base_matrix_asts=eye)
 
     @classmethod
     def riemannian(cls, matrix_sources, dim: int, chart=None) -> "FinslerStructure":
@@ -208,8 +207,8 @@ class FinslerStructure:
 
     # --- construction-time validation --------------------------------------------
 
-    def _validate(self, samples: int = 64, seed: int = 20240611):
-        """Check the hypotheses on F at `samples` points drawn from `seed`.
+    def _validate(self):
+        """Check the hypotheses on F at 64 points drawn from a fixed seed.
 
         Each point has x uniform in the chart's sample box and y in a random
         direction with |y| uniform in [0.5, 2]. Four checks run at every
@@ -223,7 +222,8 @@ class FinslerStructure:
         an earlier check at the same point, fails a check: a loop over the
         points would have stopped at that failure before the evaluation.
         """
-        rng = np.random.default_rng(seed)
+        samples = 64
+        rng = np.random.default_rng(20240611)
         box = self.chart.sample_box()
         n = self.dim
         xs, ys = [], []
@@ -582,12 +582,12 @@ def horizontal_laplacian(fs: FinslerStructure, f, p: PointState):
 # --- geodesics and arc length ------------------------------------------------------
 
 def spray_value(fs: FinslerStructure, x, y) -> np.ndarray:
-    geom = DomainGeometry(fs, x, y, ORDER_TABLE["metric"] + 1)
+    geom = DomainGeometry(fs, x, y, ORDER_TABLE["spray"])
     return _values(geom.spray)
 
 
 def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,
-                       h: float, r_min: float = DEFAULT_R_MIN) -> np.ndarray:
+                       h: float) -> np.ndarray:
     """Classical fourth-order Runge–Kutta on (ẋ = y, ẏ = −2G(x, y)).
 
     Returns an array of shape (steps + 1, 2n) of sampled states.
@@ -601,7 +601,7 @@ def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,
         x, y = s[:n], s[n:]
         if not fs.chart.contains(x):
             raise ChartError(f"geodesic left the chart at x={x}")
-        if np.linalg.norm(y) < r_min:
+        if np.linalg.norm(y) < DEFAULT_R_MIN:
             raise ChartError("geodesic velocity collapsed below the zero-section floor")
         return np.concatenate([y, -2.0 * spray_value(fs, x, y)])
 
@@ -615,12 +615,11 @@ def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,
     return out
 
 
-def arc_length(fs: FinslerStructure, curve_sources, t0: float, t1: float,
-               samples: int = 64) -> float:
-    """l(c) = ∫ F(c(t), ċ(t)) dt by Gauss–Legendre quadrature with `samples` nodes."""
+def arc_length(fs: FinslerStructure, curve_sources, t0: float, t1: float) -> float:
+    """l(c) = ∫ F(c(t), ċ(t)) dt by Gauss–Legendre quadrature with 64 nodes."""
     curves = [c if isinstance(c, ex.Node) else ex.parse(c, ["t"]) for c in curve_sources]
     vels = [ex.constant_fold(ex.differentiate(c, "t")) for c in curves]
-    nodes, weights = np.polynomial.legendre.leggauss(samples)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1)
     xs = [ex.evaluate(c, {"t": t}) for c in curves]
     ys = [ex.evaluate(v, {"t": t}) for v in vels]

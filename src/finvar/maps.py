@@ -7,6 +7,8 @@ into exact derivative expressions of g̃, so every codomain object is itself a
 domain jet and can be hit with adapted derivatives δ_i.  φ, dφ and the
 pulled-back codomain depend on x alone, so they are jets of the small x-only
 space and enter the (x, y) space only where they meet the domain geometry.
+Each derivative level of g̃ at φ(x) is evaluated on its first read: γ̃ reads
+g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads ∂³g̃.
 
 Operator conventions (all indices 0-based in code):
 
@@ -67,7 +69,7 @@ class VariationFamily:
     absent for one-parameter variations)."""
 
     def __init__(self, sources, fs: FinslerStructure, rs: RiemannStructure,
-                 base: SmoothMap = None, validate_samples: int = 16):
+                 base: SmoothMap = None):
         names = ["eps1", "eps2"] + list(fs.xnames)
         self.fs = fs
         self.rs = rs
@@ -80,7 +82,7 @@ class VariationFamily:
             at_zero = self.map_at(0.0, 0.0)
             rng = np.random.default_rng(321)
             box = fs.chart.sample_box()
-            for _ in range(validate_samples):
+            for _ in range(16):
                 x = np.array([rng.uniform(lo, hi) for lo, hi in box])
                 gap = np.max(np.abs(at_zero.value(x) - base.value(x)))
                 if gap > 1e-12:
@@ -107,9 +109,8 @@ class PullbackSection:
     MapGeometry and returning a jet.
     """
 
-    def __init__(self, components, fs: FinslerStructure = None):
+    def __init__(self, components):
         self.raw = list(components)
-        self.fs = fs
 
     def jets(self, mg: "MapGeometry"):
         out = []
@@ -137,14 +138,17 @@ class TensionReport:
 class MapGeometry:
     """Joint jet state of (domain geometry, φ, pulled-back codomain geometry)
     at one base point (x with an optionally batched y). `geom` is a
-    DomainGeometry of `map.fs`; maps over the same domain may share one."""
+    DomainGeometry of `map.fs`; maps over the same domain may share one.
 
-    def __init__(self, map: SmoothMap, geom: DomainGeometry, codomain_order: int = 3):
+    Every member is computed on first read, and so is each derivative level
+    of g̃ at φ(x): γ̃ reads g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads
+    ∂³g̃ (see `codomain`)."""
+
+    def __init__(self, map: SmoothMap, geom: DomainGeometry):
         self.map = map
         self.geom = geom
         self.n = map.fs.dim
         self.m = map.rs.dim
-        self.codomain_order = codomain_order
 
     @cached_property
     def phi(self):
@@ -158,9 +162,10 @@ class MapGeometry:
 
     @cached_property
     def codomain(self):
-        """Codomain metric partial tables evaluated at φ(x) as domain jets."""
+        """Codomain metric partial tables at φ(x) as domain jets; each level
+        is evaluated when an operator first reads it."""
         env = {self.map.rs.coords[a]: self.phi[a] for a in range(self.m)}
-        return self.map.rs.partials_at(env, self.codomain_order)
+        return self.map.rs.partials_at(env)
 
     @cached_property
     def gtilde(self):
@@ -175,26 +180,20 @@ class MapGeometry:
         return self._gamma_tilde_tables[0]
 
     @cached_property
-    def _curvature_tables(self):
-        p = self.codomain
+    def _dgamma_tilde_tables(self):
+        """∂γ̃ and ∂(g̃⁻¹), shared by R̃ and ∇R̃."""
         gamma, ginv = self._gamma_tilde_tables
-        dgamma, dginv = dchristoffel_table(p, gamma, ginv)
-        riem = curvature_table(gamma, dgamma, self.m)
-        nabla = None
-        if self.codomain_order >= 3:
-            nabla = nabla_curvature_table(p, gamma, dgamma, ginv, dginv, riem)
-        return riem, nabla
+        return dchristoffel_table(self.codomain, gamma, ginv)
 
-    @property
+    @cached_property
     def riem_tilde(self):
-        return self._curvature_tables[0]
+        return curvature_table(self.gamma_tilde, self._dgamma_tilde_tables[0], self.m)
 
-    @property
+    @cached_property
     def nabla_riem_tilde(self):
-        nabla = self._curvature_tables[1]
-        if nabla is None:
-            raise ConfigError("codomain_order < 3: nabla R not available")
-        return nabla
+        gamma, ginv = self._gamma_tilde_tables
+        dgamma, dginv = self._dgamma_tilde_tables
+        return nabla_curvature_table(self.codomain, gamma, dgamma, ginv, dginv, self.riem_tilde)
 
     # --- pullback connection ------------------------------------------------------
 
@@ -361,10 +360,9 @@ class MapGeometry:
 
 # --- public operations -------------------------------------------------------------------
 
-def _at(map: SmoothMap, p: PointState, quantity: str, codomain_order: int) -> MapGeometry:
+def _at(map: SmoothMap, p: PointState, quantity: str) -> MapGeometry:
     """Map geometry at one point, at the jet order ORDER_TABLE gives `quantity`."""
-    return MapGeometry(map, DomainGeometry(map.fs, p.x, p.y, ORDER_TABLE[quantity]),
-                       codomain_order)
+    return MapGeometry(map, DomainGeometry(map.fs, p.x, p.y, ORDER_TABLE[quantity]))
 
 
 def differential(map: SmoothMap, x) -> np.ndarray:
@@ -377,7 +375,7 @@ def differential(map: SmoothMap, x) -> np.ndarray:
 
 
 def tension(map: SmoothMap, p: PointState) -> TensionReport:
-    mg = _at(map, p, "connection", 1)
+    mg = _at(map, p, "connection")
     tau = _values(mg.tension)
     norm = np.sqrt(np.maximum(_values(mg.inner(mg.tension, mg.tension)), 0.0))
     return TensionReport(tau=tau, tau_norm=norm,
@@ -385,22 +383,22 @@ def tension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def pullback_cov_deriv(map: SmoothMap, S: PullbackSection, i: int, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "connection", 1)
+    mg = _at(map, p, "connection")
     return _values(mg.cov_deriv(S.jets(mg), i))
 
 
 def rough_laplacian(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "laplacian", 2)
+    mg = _at(map, p, "laplacian")
     return _values(mg.rough_laplacian(S.jets(mg)))
 
 
 def jacobi_apply(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "laplacian", 2)
+    mg = _at(map, p, "laplacian")
     return _values(mg.jacobi(S.jets(mg)))
 
 
 def bitension(map: SmoothMap, p: PointState) -> TensionReport:
-    mg = _at(map, p, "bitension", 2)
+    mg = _at(map, p, "bitension")
     tau = _values(mg.tension)
     tau2 = _values(mg.bitension)
     return TensionReport(
@@ -412,16 +410,16 @@ def bitension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def weitzenbock_residual(map: SmoothMap, p: PointState) -> float:
-    mg = _at(map, p, "bitension", 2)
+    mg = _at(map, p, "bitension")
     return float(mg.weitzenbock_residual())
 
 
 def hessian_integrand(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
                       p: PointState) -> float:
-    mg = _at(map, p, "hessian", 3)
+    mg = _at(map, p, "hessian")
     return float(mg.hessian_integrand(V1.jets(mg), V2.jets(mg)))
 
 
 def energy_density(map: SmoothMap, p: PointState) -> float:
-    mg = _at(map, p, "metric", 0)
+    mg = _at(map, p, "metric")
     return float(_values(mg.energy_density))

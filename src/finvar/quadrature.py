@@ -179,8 +179,7 @@ def _fiber_samples(fs: FinslerStructure, x, spec: QuadratureSpec, node_index: in
     return y, inside, radius
 
 
-def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec,
-              structure_tag: str = "") -> FunctionalEstimate:
+def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstimate:
     """Normalized unit-ball-bundle integral of a scalar integrand.
 
     `fn` is either an expression (source or AST, variables x1.., y1..) or a
@@ -202,7 +201,7 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec,
         return [np.asarray(fn(x, y)) * _values(geom.detg)]
 
     return _assemble(node_rows, fs, spec,
-                     structure_hash=_hash_of(fs.label, ex.to_source(fs.f2_ast), structure_tag))[0]
+                     structure_hash=_hash_of(fs.label, ex.to_source(fs.f2_ast)))[0]
 
 
 def _run_stride(fn, tasks, k: int, w: int):
@@ -322,14 +321,14 @@ def _bienergy_rows(maps, fs: FinslerStructure, x, y):
     det = _values(geom.detg)
     rows = []
     for m in maps:
-        mg = MapGeometry(m, geom, codomain_order=1)
+        mg = MapGeometry(m, geom)
         rows.append(0.5 * _values(mg.inner(mg.tension, mg.tension)) * det)
     return rows
 
 
 def _hessian_rows(map: SmoothMap, pairs, x, y):
     """H(V, W) integrand·det g of each (V, W) pair, over one order-8 map geometry."""
-    mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 8), codomain_order=3)
+    mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 8))
     det = _values(mg.geom.detg)
     return [np.asarray(mg.hessian_integrand(V.jets(mg), W.jets(mg))) * det for V, W in pairs]
 
@@ -338,7 +337,7 @@ def energy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
     """E(φ) = ∫_{BM} e(φ), e = ½ g^{ij} g̃_{αβ}(φ) φ^α_{,i} φ^β_{,j}."""
 
     def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 2), codomain_order=0)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 2))
         return [_values(mg.energy_density) * _values(mg.geom.detg)]
 
     return _assemble(node_rows, map.fs, spec, structure_hash=_map_hash(map))[0]
@@ -371,7 +370,7 @@ def first_variation_check(family: VariationFamily, spec: QuadratureSpec,
     v_asts = family.deviation_field(1)
 
     def tau2_v_row(x, y):
-        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6), codomain_order=2)
+        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6))
         V = [jt.eval_ast(a, mg.geom.env) for a in v_asts]
         return _values(mg.inner(mg.bitension, V)) * _values(mg.geom.detg)
 
@@ -395,7 +394,7 @@ def self_adjointness_check(map: SmoothMap, X: PullbackSection, Y: PullbackSectio
     """
 
     def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6), codomain_order=2)
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6))
         Xj, Yj = X.jets(mg), Y.jets(mg)
         LX, LY = mg.rough_laplacian(Xj), mg.rough_laplacian(Yj)
         JX, JY = mg.jacobi(Xj), mg.jacobi(Yj)
@@ -423,7 +422,7 @@ def hessian_form(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
 
 
 def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
-                           h: float = 1e-3, bitension_tol: float = 1e-6) -> VariationCheck:
+                           h: float = 1e-3) -> VariationCheck:
     """∂²E₂/∂ε₁∂ε₂ by the 4-corner mixed central difference against the
     integrated Hessian form; also reports the H(V₁,V₂) − H(V₂,V₁) gap. One
     pass: the four E₂ corners and both Hessian rows share each node's samples."""
@@ -435,9 +434,9 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
         y = rng.normal(size=base.fs.dim)
         y /= np.linalg.norm(y)
-        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6), codomain_order=2)
+        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6))
         t2 = float(np.max(np.abs(_values(mg.bitension))))
-        if t2 > bitension_tol:
+        if t2 > 1e-6:
             raise ConfigError(f"base map is not biharmonic at tolerance: |tau2| = {t2:.3e}")
 
     corners = [family.map_at(e1, e2) for e1, e2 in ((h, h), (h, -h), (-h, h), (-h, -h))]

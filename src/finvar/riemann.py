@@ -19,12 +19,13 @@ objects are pulled back through a map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import expressions as ex
 from . import jets as jt
-from .errors import ConfigError, SingularMetricError
+from .errors import ConfigError, OrderLimitError, SingularMetricError
 
 
 # --- generic linear algebra over jets or arrays --------------------------------
@@ -79,26 +80,46 @@ def determinant(mat):
 
 # --- partial-derivative tables of a metric -------------------------------------
 
-@dataclass
+def _level(order: int):
+    """Level `order` of a MetricPartials table, evaluated on its first read."""
+
+    def read(self):
+        if order > self.max_order:
+            raise OrderLimitError(f"metric partials of order {order} beyond the "
+                                  f"table's order {self.max_order}")
+
+        def build(prefix):
+            if len(prefix) == order:
+                return self._entry(tuple(sorted(prefix)))
+            return [build(prefix + (c,)) for c in range(self.dim)]
+        return build(())
+
+    return cached_property(read)
+
+
 class MetricPartials:
     """Metric and its coordinate partials, entries jets or arrays.
 
     d0[a][b] = g_ab, d1[c][a][b] = g_ab,c, d2[c][d][a][b] = g_ab,cd,
-    d3[c][d][e][a][b] = g_ab,cde (levels beyond `max_order` are None).
+    d3[c][d][e][a][b] = g_ab,cde. `entry(t)` gives the matrix of partials of
+    g along the sorted coordinate tuple t; it runs once per tuple, and each
+    level is evaluated on its first read. So a table holds what its readers
+    need: γ̃ reads d0 and d1, R̃ also reads d2, and ∇R̃ also reads d3.
+    Reading a level above `max_order` raises `OrderLimitError`.
     """
 
-    dim: int
-    d0: list
-    d1: list = None
-    d2: list = None
-    d3: list = None
+    def __init__(self, dim: int, entry, max_order: int):
+        self.dim = dim
+        self.max_order = max_order
+        self._entry = cache(entry)
+
+    d0, d1, d2, d3 = (_level(k) for k in range(4))
 
 
-def christoffel_table(p: MetricPartials, ginv=None):
+def christoffel_table(p: MetricPartials):
     """gamma[a][b][c] = gamma^a_bc from the metric partial table."""
     n = p.dim
-    if ginv is None:
-        ginv = invert_matrix(p.d0)
+    ginv = invert_matrix(p.d0)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -260,9 +281,9 @@ class RiemannStructure:
         rs._validate_symmetry()
         return rs
 
-    def _validate_symmetry(self, samples: int = 16):
+    def _validate_symmetry(self):
         rng = np.random.default_rng(20240923)
-        pts = rng.uniform(-0.5, 0.5, size=(samples, self.dim))
+        pts = rng.uniform(-0.5, 0.5, size=(16, self.dim))
         for x in pts:
             env = {self.coords[i]: x[i] for i in range(self.dim)}
             mat = np.array([[ex.evaluate(self.metric_asts[a][b], env)
@@ -287,44 +308,27 @@ class RiemannStructure:
             self._partial_asts[key] = node
         return node
 
-    def partials_at(self, env: dict, max_order: int) -> MetricPartials:
-        """Evaluate g and its coordinate partials at `env` (numbers or jets).
+    def partials_at(self, env: dict) -> MetricPartials:
+        """g and its coordinate partials at `env` (numbers or jets), each
+        level evaluated on its first read.
 
         Partials come from exact derivative expressions, so the table is
         valid whether `env` binds plain values or domain jets (the pullback
         through a map needs the latter).
         """
         n = self.dim
-        has_jets = any(isinstance(v, jt.Jet) for v in env.values())
-        evaluator = (lambda node: jt.eval_ast(node, env)) if has_jets \
-            else (lambda node: ex.evaluate(node, env))
+        evaluate = jt.eval_ast if any(isinstance(v, jt.Jet) for v in env.values()) else ex.evaluate
 
-        def level(order):
-            if order == 0:
-                return [[evaluator(self._partial_ast(a, b, ())) for b in range(n)] for a in range(n)]
-            idxs = [()]
-            for _ in range(order):
-                idxs = [t + (c,) for t in idxs for c in range(n)]
-            cache = {}
-            for t in idxs:
-                key = tuple(sorted(t))
-                if key not in cache:
-                    cache[key] = [[evaluator(self._partial_ast(a, b, key)) for b in range(n)]
-                                  for a in range(n)]
-            def build(prefix, depth):
-                if depth == order:
-                    return cache[tuple(sorted(prefix))]
-                return [build(prefix + (c,), depth + 1) for c in range(n)]
-            return build((), 0)
-
-        return MetricPartials(n, *(level(k) for k in range(min(max_order, 3) + 1)))
+        def entry(t):
+            return [[evaluate(self._partial_ast(a, b, t), env) for b in range(n)] for a in range(n)]
+        return MetricPartials(n, entry, 3)
 
     def partials_from_jets(self, x, max_order: int) -> MetricPartials:
         """Same table, but read off a single jet evaluation of each g_ab.
 
         This is the pointwise route: the metric expressions are expanded to
         `max_order` jets at x and the coefficient table supplies every
-        coordinate partial directly.
+        coordinate partial up to that order directly.
         """
         n = self.dim
         space = jt.jet_space(self.coords, max_order)
@@ -332,25 +336,10 @@ class RiemannStructure:
                                for i in range(n)})
         jets = [[jt.eval_ast(self.metric_asts[a][b], env) for b in range(n)] for a in range(n)]
 
-        def unit(c):
-            return tuple(1 if i == c else 0 for i in range(n))
-
-        def mu_of(t):
-            mu = [0] * n
-            for c in t:
-                mu[c] += 1
-            return tuple(mu)
-
-        def level(order):
-            if order == 0:
-                return [[jets[a][b].value for b in range(n)] for a in range(n)]
-            def build(prefix, depth):
-                if depth == order:
-                    return [[jets[a][b].partial(mu_of(prefix)) for b in range(n)] for a in range(n)]
-                return [build(prefix + (c,), depth + 1) for c in range(n)]
-            return build((), 0)
-
-        return MetricPartials(n, *(level(k) for k in range(min(max_order, 3) + 1)))
+        def entry(t):
+            mu = tuple(t.count(c) for c in range(n))
+            return [[jets[a][b].partial(mu) for b in range(n)] for a in range(n)]
+        return MetricPartials(n, entry, max_order)
 
 
 # --- public pointwise operations -------------------------------------------------

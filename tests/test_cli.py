@@ -212,6 +212,21 @@ def test_output_block_is_rejected(tmp_path, capsys):
     ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 20, "safety": 0.5}}, []),
     ("identity-analysis", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, NAN]}}, []),
     ("identity-analysis", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, 0.0]}}, []),
+    ("geom", {"domain": {"type": "randers", "alpha": [["1"]], "beta": ["0", "0"]}},
+     ["--point", "0.1,0.2,1,0"]),
+    ("geom", {"domain": {"type": "randers", "alpha": [["1", "0"], ["0", "1"]], "beta": ["0.1"]}},
+     ["--point", "0.1,0.2,1,0"]),
+    ("geom", {"domain": {"type": "riemannian", "matrix": [["1", "0"]]}},
+     ["--point", "0.1,0.2,1,0"]),
+    ("tension", {"codomain": {"type": "custom", "matrix": [["1"]]}}, []),
+    ("check", {"sections": {"X": ["x1"], "Y": ["x1", "x2"]}}, ["self-adjoint"]),
+    ("check", {"sections": {"X": ["x1"]}}, ["divergence"]),
+    ("tension", {"map": {"components": [0.5, "x2"]}}, []),
+    ("check", {"variation": {"components": ["x1 + eps1", 3]}}, ["first-variation"]),
+    ("check", {"sections": {"X": [1, "x2"]}}, ["divergence"]),
+    ("check", {"perturbation": {"b": "x1*y1^2", "a": ["1"]}}, ["identity"]),
+    ("tension", {"map": {"components": 5}}, []),
+    ("check", {"variation": {"components": 3}}, ["first-variation"]),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})

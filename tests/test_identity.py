@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from finvar import identity as idn
+from finvar import riemann as rm
 from finvar.errors import ConfigError, DomainEvalError
-from finvar.finsler import BoxChart, PointState
+from finvar.finsler import BoxChart, PointState, _values
+from finvar.maps import MapGeometry
 
 BOX = BoxChart(((-1.0, 1.0), (-1.0, 1.0)))
 EYE = [["1", "0"], ["0", "1"]]
@@ -137,3 +139,27 @@ def test_a_zero_sup_norm_has_no_slope():
     setup = idn.PerturbationSetup(EYE, "0*y1^2", 2, chart=BOX)
     with pytest.raises(DomainEvalError, match="sup-norm is 0 at c = 0.01"):
         idn.linearized_scaling(setup, n_points=2)
+
+
+def test_identity_geometry_pulls_the_base_metric_back_once(monkeypatch):
+    # γ̃ of the §7 routes is the identity map's own pulled-back γ̃, and the
+    # general route reads the tension of that same MapGeometry
+    setup = _generic_setup()
+    p = _sample_points(1, 9)[0]
+    ig = idn.IdentityGeometry(setup, p.x, p.y, 6)
+    mg = ig.map_geometry
+    assert mg.map is setup.identity_map and mg.geom is ig.geom
+    assert ig.gamma_tilde is mg.gamma_tilde
+    assert np.allclose(_values(ig.gamma_tilde), rm.christoffel(setup.base_structure, p.x),
+                       rtol=1e-12, atol=1e-12)
+    rep = ig.tension_report()
+    assert rep.tau_route_general.tobytes() == _values(mg.tension).tobytes()
+
+    built = []
+    init = MapGeometry.__init__
+    monkeypatch.setattr(MapGeometry, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    again = idn.identity_tension(setup, p)
+    assert len(built) == 1
+    for route in ("tau_route_b", "tau_route_conn", "tau_route_general"):
+        assert getattr(again, route).tobytes() == getattr(rep, route).tobytes()

@@ -10,6 +10,7 @@ import pytest
 
 from finvar import expressions as ex
 from finvar import jets as jt
+from finvar import riemann as rm
 from finvar.classical import ClassicalPipeline
 from finvar.config import RunConfig
 from finvar.errors import ConfigError, ExpressionError
@@ -110,7 +111,7 @@ def test_first_variation_of_tension_is_jacobi():
     dtau = (tau_at(h) - tau_at(-h)) / (2 * h)
     phi_val = base.value(x)
     gamt, _ = christoffel_table(rs.partials_at(
-        {rs.coords[a]: phi_val[a] for a in range(2)}, 1))
+        {rs.coords[a]: phi_val[a] for a in range(2)}))
     env = {"x1": x[0], "x2": x[1]}
     W_val = np.array([ex.evaluate(ex.parse(s, ["x1", "x2"]), env) for s in W_src])
     lhs = dtau + np.array([sum(gamt[a][b][c] * W_val[b] * tau0[c]
@@ -134,7 +135,7 @@ def _depstau2_pointwise(fs, rs, phi_src, W_src, x, y, h=1e-5):
     phi_val = base.value(x)
     m = rs.dim
     gamt, _ = christoffel_table(rs.partials_at(
-        {rs.coords[a]: phi_val[a] for a in range(m)}, 1))
+        {rs.coords[a]: phi_val[a] for a in range(m)}))
     names = ["x1", "x2"]
     env = {names[i]: x[i] for i in range(2)}
     W_val = np.array([ex.evaluate(ex.parse(s, names), env) for s in W_src])
@@ -211,7 +212,7 @@ def test_expanded_tension_matches_the_structural_form(components):
     cfg = RunConfig(dict(README_CONFIG, map={"components": components}))
     m = cfg.smooth_map()
     for x, y in cfg.sample_points(20):
-        mg = MapGeometry(m, DomainGeometry(m.fs, x, y, 4), codomain_order=1)
+        mg = MapGeometry(m, DomainGeometry(m.fs, x, y, 4))
         tau = _values(mg.tension)
         gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
         assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(tau))))
@@ -226,7 +227,7 @@ def test_pullback_connection_is_metric_compatible():
     y = np.array([0.5, 1.1])
     S_src = [f"sin(x1*{TWO_PI!r})", f"0.3 + cos(x2*{TWO_PI!r})"]
     T_src = [f"x2*0 + 0.7", f"sin(x2*{TWO_PI!r})/2"]
-    mg = MapGeometry(m, DomainGeometry(fs, x, y, 4), codomain_order=1)
+    mg = MapGeometry(m, DomainGeometry(fs, x, y, 4))
     S = PullbackSection(S_src).jets(mg)
     T = PullbackSection(T_src).jets(mg)
     for i in range(2):
@@ -311,7 +312,7 @@ def test_cov_deriv_against_finite_differences():
                        / (2 * h) for s in S_src])
         phi_val = m.value(x)
         gamt, _ = christoffel_table(rs.partials_at(
-            {rs.coords[a]: phi_val[a] for a in range(2)}, 1))
+            {rs.coords[a]: phi_val[a] for a in range(2)}))
         dphi = differential(m, x)
         S_val = np.array([ex.evaluate(ex.parse(s, names), {"x1": x[0], "x2": x[1]})
                           for s in S_src])
@@ -354,15 +355,47 @@ def test_x_only_jets_change_no_bit(y):
     x, x_box = [0.31, 0.77], [0.31, -0.27]
     runs, phi_vars = [], []
     for bind in (lambda geom: geom, _x_in_the_full_space):
-        mg = MapGeometry(m, bind(DomainGeometry(fs, x, y, 6)), codomain_order=2)
-        mg8 = MapGeometry(m, bind(DomainGeometry(fs, x, y, 8)), codomain_order=3)
+        mg = MapGeometry(m, bind(DomainGeometry(fs, x, y, 6)))
+        mg8 = MapGeometry(m, bind(DomainGeometry(fs, x, y, 8)))
         ig = IdentityGeometry(setup, x_box, y, 6)
         bind(ig.geom)
         routes = [ig.tau_route_b, ig.tau_route_conn,
-                  MapGeometry(setup.identity_map, ig.geom, codomain_order=1).tension]
+                  MapGeometry(setup.identity_map, ig.geom).tension]
         values = [mg.tension, mg.bitension, mg.energy_density,
                   mg8.hessian_integrand(V1.jets(mg8), V2.jets(mg8)), *routes]
         runs.append([[float(v).hex() for v in np.ravel(_values(t))] for t in values])
         phi_vars.append(len(mg.phi[0].space.names))
     assert phi_vars == [2, 4]
     assert runs[0] == runs[1]
+
+
+def _filled_levels(partials):
+    return [name for name in ("d0", "d1", "d2", "d3") if name in vars(partials)]
+
+
+def test_map_geometry_evaluates_each_codomain_level_on_first_read():
+    # no depth is given: tension reads g̃ and ∂g̃, the bitension also ∂²g̃ and
+    # ∇R̃ also ∂³g̃; R̃ and ∇R̃ match the pointwise curvature of the codomain
+    fs = FinslerStructure.randers([["1", "0"], ["0", "1"]],
+                                  [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
+                                  chart=TorusChart((1.0, 1.0)))
+    rs = RiemannStructure.custom(GEN_CODOMAIN, 2)
+    m = _periodic_map(fs, rs)
+    x, y = np.array([0.31, 0.77]), np.array([0.8, -0.6])
+    p = PointState(x, y)
+    mg = MapGeometry(m, DomainGeometry(fs, x, y, 8))
+    tau = _values(mg.tension)
+    assert _filled_levels(mg.codomain) == ["d0", "d1"]
+    tau2 = _values(mg.bitension)
+    assert _filled_levels(mg.codomain) == ["d0", "d1", "d2"]
+    field = rm.curvature(rs, m.value(x))
+    assert np.allclose(_values(mg.nabla_riem_tilde), field.nabla, rtol=1e-10, atol=1e-10)
+    assert _filled_levels(mg.codomain) == ["d0", "d1", "d2", "d3"]
+    assert np.allclose(_values(mg.riem_tilde), field.riemann, rtol=1e-10, atol=1e-10)
+    rep = bitension(m, p)
+    assert np.allclose(tau, rep.tau, rtol=1e-12, atol=1e-12)
+    assert np.allclose(tau2, rep.tau2, rtol=1e-10, atol=1e-10)
+    V1 = PullbackSection([f"sin(x1*{TWO_PI!r})", f"0.7*cos(x2*{TWO_PI!r})"])
+    V2 = PullbackSection(["0.3*x1*x2", "cos(x1)"])
+    value = mg.hessian_integrand(V1.jets(mg), V2.jets(mg))
+    assert float(value).hex() == float(hessian_integrand(m, V1, V2, p)).hex()

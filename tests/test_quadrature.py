@@ -255,7 +255,7 @@ def test_first_variation_pass_equals_separate_integrals():
     v_asts = fam.deviation_field(1)
 
     def tau2_v(x, y):
-        mg = MapGeometry(fam.base, DomainGeometry(fam.base.fs, x, y, 6), codomain_order=2)
+        mg = MapGeometry(fam.base, DomainGeometry(fam.base.fs, x, y, 6))
         V = [jt.eval_ast(a, mg.geom.env) for a in v_asts]
         return [_values(mg.inner(mg.bitension, V)) * _values(mg.geom.detg)]
 

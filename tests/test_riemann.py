@@ -7,7 +7,7 @@ import pytest
 
 from finvar import expressions as ex
 from finvar import riemann as rm
-from finvar.errors import ConfigError, SingularMetricError
+from finvar.errors import ConfigError, OrderLimitError, SingularMetricError
 
 
 def _generic_metric(dim=2):
@@ -171,7 +171,7 @@ def test_partials_routes_agree():
     rs = _generic_metric()
     x = [0.25, -0.4]
     env = {rs.coords[i]: x[i] for i in range(2)}
-    via_ast = rs.partials_at(env, 3)
+    via_ast = rs.partials_at(env)
     via_jets = rs.partials_from_jets(x, 3)
     assert np.allclose(np.array(via_ast.d0, dtype=float), np.array(via_jets.d0, dtype=float))
     assert np.allclose(np.array(via_ast.d1, dtype=float), np.array(via_jets.d1, dtype=float),
@@ -196,3 +196,16 @@ def test_degenerate_plane_rejected():
     rs = rm.RiemannStructure.sphere(2)
     with pytest.raises(SingularMetricError):
         rm.sectional_curvature(rs, [0.1, 0.2], [1.0, 2.0], [2.0, 4.0])
+
+
+def test_partial_tables_fill_each_level_on_first_read():
+    rs = _generic_metric()
+    x = [0.25, -0.4]
+    via_ast = rs.partials_at({rs.coords[i]: x[i] for i in range(2)})
+    via_jets = rs.partials_from_jets(x, 1)
+    gamma, _ = rm.christoffel_table(via_ast)
+    assert [k for k in ("d0", "d1", "d2", "d3") if k in vars(via_ast)] == ["d0", "d1"]
+    assert np.allclose(np.array(gamma, dtype=float), rm.christoffel(rs, x), atol=1e-12)
+    assert np.array(via_ast.d3, dtype=float).shape == (2, 2, 2, 2, 2)
+    with pytest.raises(OrderLimitError):
+        via_jets.d2
