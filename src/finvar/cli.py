@@ -8,6 +8,7 @@ identity-analysis.  Exit codes: 0 all checks pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -321,7 +322,9 @@ _SUITE_FNS = {
 # --- entry point -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, as nothing in it depends on argv."""
     parser = argparse.ArgumentParser(
         prog="finvar",
         description="Finsler-to-Riemann harmonic/biharmonic map verification engine")

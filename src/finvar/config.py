@@ -197,6 +197,8 @@ class RunConfig:
         block = self.data.get("codomain", {"type": "euclidean"})
         kind = block.get("type", "euclidean")
         dim = _number(block.get("dimension", self.dimension), int, "codomain.dimension")
+        if dim < 1:
+            raise ConfigError(f"codomain.dimension must be >= 1, got {dim}")
         if kind == "euclidean":
             return RiemannStructure.euclidean(dim)
         if kind == "sphere":

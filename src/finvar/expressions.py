@@ -11,6 +11,12 @@ Grammar (whitespace insignificant)::
 
 Non-smooth primitives (abs, min, max, sign) are rejected at parse time;
 everything the engine differentiates must be smooth on its domain.
+
+ASTs are immutable and may share subtrees. `Calculus` derives and folds a
+family of expressions (a metric and all its partials) as one DAG: each
+distinct node object is derived or folded once and its result reused,
+keyed by identity. `differentiate` and `constant_fold` are one-shot calls of
+the same code.
 """
 
 from __future__ import annotations
@@ -243,66 +249,160 @@ def free_vars(node: Node) -> frozenset[str]:
 
 # --- exact differentiation and substitution ----------------------------------
 
+class Calculus:
+    """Exact derivatives and constant folding of ASTs, each result remembered
+    by the identity of the node it was taken of.
+
+    A subtree that several expressions share is derived (or folded) once, and
+    every expression that contains it receives the same result object, so a
+    table of derivatives is a DAG whose evaluators can share subexpressions
+    too. Each result equals, node for node, the tree that deriving or
+    folding its expression alone would build; only node objects are shared.
+    Keys are node identities, never dataclass equality, which would merge
+    `Const(0.0)` with `Const(-0.0)`. A holder of one `Calculus` (each
+    `RiemannStructure` keeps one) shares across all its calls.
+    """
+
+    def __init__(self):
+        self._derivs: dict = {}   # (id(node), var) -> (node, derivative)
+        self._folds: dict = {}    # id(node) -> (node, folded)
+        self._chains: dict = {}   # id(node) -> (node, its factor of every derivative)
+
+    def differentiate(self, node: Node, var: str) -> Node:
+        key = (id(node), var)
+        hit = self._derivs.get(key)
+        if hit is None:
+            hit = self._derivs[key] = (node, self._derive(node, var))
+        return hit[1]
+
+    def fold(self, node: Node) -> Node:
+        hit = self._folds.get(id(node))
+        if hit is None:
+            hit = self._folds[id(node)] = (node, self._fold(node))
+        return hit[1]
+
+    def _chain(self, node: Node) -> Node:
+        """The factor of ∂node that does not depend on the variable, built
+        once per node, so the partials of `node` in all variables share it."""
+        hit = self._chains.get(id(node))
+        if hit is None:
+            hit = self._chains[id(node)] = (node, _chain_factor(node))
+        return hit[1]
+
+    def _derive(self, node: Node, var: str) -> Node:
+        if isinstance(node, Const):
+            return Const(0.0)
+        if isinstance(node, Var):
+            return Const(1.0) if node.name == var else Const(0.0)
+        if isinstance(node, BinOp):
+            dl = self.differentiate(node.left, var)
+            dr = self.differentiate(node.right, var)
+            if node.op in ("+", "-"):
+                if _is_zero(dl) and _is_zero(dr):
+                    return Const(0.0)
+                return BinOp(node.op, dl, dr)
+            if node.op == "*":
+                terms = []
+                if not _is_zero(dl):
+                    terms.append(BinOp("*", dl, node.right))
+                if not _is_zero(dr):
+                    terms.append(BinOp("*", node.left, dr))
+                if not terms:
+                    return Const(0.0)
+                return terms[0] if len(terms) == 1 else BinOp("+", terms[0], terms[1])
+            if node.op == "/":
+                # (l/r)' = l'/r - l*r'/r^2
+                first = Const(0.0) if _is_zero(dl) else BinOp("/", dl, node.right)
+                if _is_zero(dr):
+                    return first
+                return BinOp("-", first, BinOp("/", BinOp("*", node.left, dr), self._chain(node)))
+            raise TypeError(f"unknown operator {node.op!r}")
+        if isinstance(node, Pow):
+            db = self.differentiate(node.base, var)
+            if _is_zero(db) or node.exponent == 0:
+                return Const(0.0)
+            return BinOp("*", self._chain(node), db)
+        if isinstance(node, Func):
+            da = self.differentiate(node.arg, var)
+            if _is_zero(da):
+                return Const(0.0)
+            return BinOp("*", self._chain(node), da)
+        raise TypeError(f"not an AST node: {node!r}")
+
+    def _fold(self, node: Node) -> Node:
+        """`node` with its constant sub-trees folded; `node` itself when
+        nothing folds."""
+        if isinstance(node, (Const, Var)):
+            return node
+        if isinstance(node, BinOp):
+            left = self.fold(node.left)
+            right = self.fold(node.right)
+            if isinstance(left, Const) and isinstance(right, Const):
+                if node.op == "/" and right.value == 0:
+                    return _binop(node, left, right)
+                return Const({"+": left.value + right.value,
+                              "-": left.value - right.value,
+                              "*": left.value * right.value,
+                              "/": left.value / right.value if right.value else math.nan}[node.op])
+            if node.op == "*" and (_is_zero(left) or _is_zero(right)):
+                return Const(0.0)
+            if node.op == "*" and isinstance(left, Const) and left.value == 1.0:
+                return right
+            if node.op == "*" and isinstance(right, Const) and right.value == 1.0:
+                return left
+            if node.op in ("+", "-") and _is_zero(right):
+                return left
+            if node.op == "+" and _is_zero(left):
+                return right
+            if node.op == "/" and _is_zero(left):
+                return Const(0.0)
+            return _binop(node, left, right)
+        if isinstance(node, Pow):
+            base = self.fold(node.base)
+            if node.exponent == 1.0:
+                return base
+            if isinstance(base, Const) and float(node.exponent).is_integer():
+                return Const(base.value ** node.exponent)
+            return node if base is node.base else Pow(base, node.exponent)
+        if isinstance(node, Func):
+            arg = self.fold(node.arg)
+            return node if arg is node.arg else Func(node.name, arg)
+        raise TypeError(f"not an AST node: {node!r}")
+
+
+def _chain_factor(node: Node) -> Node:
+    """r^2 of l/r, p*b^(p-1) of b^p, h'(a) of h(a)."""
+    if isinstance(node, BinOp):
+        return Pow(node.right, 2.0)
+    if isinstance(node, Pow):
+        return BinOp("*", Const(node.exponent), Pow(node.base, node.exponent - 1.0))
+    f = node.arg
+    if node.name == "sqrt":
+        return BinOp("/", Const(0.5), Func("sqrt", f))
+    if node.name == "exp":
+        return Func("exp", f)
+    if node.name == "log":
+        return BinOp("/", Const(1.0), f)
+    if node.name == "sin":
+        return Func("cos", f)
+    if node.name == "cos":
+        return BinOp("-", Const(0.0), Func("sin", f))
+    if node.name == "tan":
+        return BinOp("/", Const(1.0), Pow(Func("cos", f), 2.0))
+    if node.name == "atan":
+        return BinOp("/", Const(1.0), BinOp("+", Const(1.0), Pow(f, 2.0)))
+    raise TypeError(f"unknown function {node.name!r}")
+
+
+def _binop(node: BinOp, left: Node, right: Node) -> BinOp:
+    """`node` with operands `left` and `right`: `node` itself if they are its own."""
+    return node if left is node.left and right is node.right else BinOp(node.op, left, right)
+
+
 def differentiate(node: Node, var: str) -> Node:
     """Exact derivative of the AST with respect to `var` (no simplification
     beyond dropping obvious zero branches)."""
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0) if node.name == var else Const(0.0)
-    if isinstance(node, BinOp):
-        dl = differentiate(node.left, var)
-        dr = differentiate(node.right, var)
-        if node.op in ("+", "-"):
-            if _is_zero(dl) and _is_zero(dr):
-                return Const(0.0)
-            return BinOp(node.op, dl, dr)
-        if node.op == "*":
-            terms = []
-            if not _is_zero(dl):
-                terms.append(BinOp("*", dl, node.right))
-            if not _is_zero(dr):
-                terms.append(BinOp("*", node.left, dr))
-            if not terms:
-                return Const(0.0)
-            return terms[0] if len(terms) == 1 else BinOp("+", terms[0], terms[1])
-        if node.op == "/":
-            # (l/r)' = l'/r - l*r'/r^2
-            first = Const(0.0) if _is_zero(dl) else BinOp("/", dl, node.right)
-            if _is_zero(dr):
-                return first
-            second = BinOp("/", BinOp("*", node.left, dr), Pow(node.right, 2.0))
-            return BinOp("-", first, second)
-        raise TypeError(f"unknown operator {node.op!r}")
-    if isinstance(node, Pow):
-        db = differentiate(node.base, var)
-        if _is_zero(db) or node.exponent == 0:
-            return Const(0.0)
-        inner = Pow(node.base, node.exponent - 1.0)
-        return BinOp("*", BinOp("*", Const(node.exponent), inner), db)
-    if isinstance(node, Func):
-        da = differentiate(node.arg, var)
-        if _is_zero(da):
-            return Const(0.0)
-        f = node.arg
-        if node.name == "sqrt":
-            outer = BinOp("/", Const(0.5), Func("sqrt", f))
-        elif node.name == "exp":
-            outer = Func("exp", f)
-        elif node.name == "log":
-            outer = BinOp("/", Const(1.0), f)
-        elif node.name == "sin":
-            outer = Func("cos", f)
-        elif node.name == "cos":
-            outer = BinOp("-", Const(0.0), Func("sin", f))
-        elif node.name == "tan":
-            outer = BinOp("/", Const(1.0), Pow(Func("cos", f), 2.0))
-        elif node.name == "atan":
-            outer = BinOp("/", Const(1.0), BinOp("+", Const(1.0), Pow(f, 2.0)))
-        else:
-            raise TypeError(f"unknown function {node.name!r}")
-        return BinOp("*", outer, da)
-    raise TypeError(f"not an AST node: {node!r}")
+    return Calculus().differentiate(node, var)
 
 
 def _is_zero(node: Node) -> bool:
@@ -374,39 +474,4 @@ def evaluate(node: Node, env: dict):
 
 def constant_fold(node: Node) -> Node:
     """Fold constant sub-trees (used to keep derivative ASTs small)."""
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, BinOp):
-        left = constant_fold(node.left)
-        right = constant_fold(node.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            if node.op == "/" and right.value == 0:
-                return BinOp(node.op, left, right)
-            return Const({"+": left.value + right.value,
-                          "-": left.value - right.value,
-                          "*": left.value * right.value,
-                          "/": left.value / right.value if right.value else math.nan}[node.op])
-        if node.op == "*" and (_is_zero(left) or _is_zero(right)):
-            return Const(0.0)
-        if node.op == "*" and isinstance(left, Const) and left.value == 1.0:
-            return right
-        if node.op == "*" and isinstance(right, Const) and right.value == 1.0:
-            return left
-        if node.op in ("+", "-") and _is_zero(right):
-            return left
-        if node.op == "+" and _is_zero(left):
-            return right
-        if node.op == "/" and _is_zero(left):
-            return Const(0.0)
-        return BinOp(node.op, left, right)
-    if isinstance(node, Pow):
-        base = constant_fold(node.base)
-        if node.exponent == 1.0:
-            return base
-        if isinstance(base, Const) and float(node.exponent).is_integer():
-            return Const(base.value ** node.exponent)
-        return Pow(base, node.exponent)
-    if isinstance(node, Func):
-        arg = constant_fold(node.arg)
-        return Func(node.name, arg)
-    raise TypeError(f"not an AST node: {node!r}")
+    return Calculus().fold(node)

@@ -8,7 +8,9 @@ domain jet and can be hit with adapted derivatives δ_i.  φ, dφ and the
 pulled-back codomain depend on x alone, so they are jets of the small x-only
 space and enter the (x, y) space only where they meet the domain geometry.
 Each derivative level of g̃ at φ(x) is evaluated on its first read: γ̃ reads
-g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads ∂³g̃.
+g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads ∂³g̃. All levels at one point
+come from one evaluation of the structure's derivative DAG, so a
+subexpression shared by several entries or levels is evaluated once.
 
 Operator conventions (all indices 0-based in code):
 
@@ -274,20 +276,14 @@ class MapGeometry:
         return out
 
     def curvature_trace(self, S):
-        """g^{ij} R̃(dφ(δ_i), S) dφ(δ_j), the trace term of J."""
+        """g^{ij} R̃(dφ(δ_i), S) dφ(δ_j), the trace term of J; R̃ is applied
+        once per (i, j) and every component is read from it."""
         n, m, g = self.n, self.m, self.geom
         riem = self.riem_tilde
-        out = []
-        for a in range(m):
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    dphi_i = [self.dphi[b][i] for b in range(m)]
-                    dphi_j = [self.dphi[b][j] for b in range(m)]
-                    terms.append(g.ginv[i][j]
-                                 * riem_apply(riem, dphi_i, S, dphi_j, m)[a])
-            out.append(jt.sum_terms(terms))
-        return out
+        cols = [[self.dphi[b][i] for b in range(m)] for i in range(n)]
+        applied = [[riem_apply(riem, cols[i], S, cols[j], m) for j in range(n)] for i in range(n)]
+        return [jt.sum_terms([g.ginv[i][j] * applied[i][j][a] for i in range(n) for j in range(n)])
+                for a in range(m)]
 
     def jacobi(self, S):
         """(J S)^α = −(Δ^{dφ}S)^α − (curvature trace)^α."""
@@ -338,7 +334,7 @@ class MapGeometry:
         riem = self.riem_tilde
         nabla = self.nabla_riem_tilde
         JJ = self.jacobi(self.jacobi(V2))
-        total = [JJ[a] + riem_apply(riem, V2, tau, tau, m)[a] for a in range(m)]
+        total = [jj + r for jj, r in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
         Dtau = [self.cov_deriv(tau, j) for j in range(n)]
         DV2 = [self.cov_deriv(V2, j) for j in range(n)]
         for i in range(n):

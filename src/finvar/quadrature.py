@@ -46,6 +46,8 @@ class QuadratureSpec:
 
     `workers` processes share out the x-nodes in strides: the caller
     evaluates nodes 0, w, 2w, …, and a forked child each further stride.
+    w is `workers` capped at the node count and at `os.cpu_count()`, so a
+    large `workers` never starts more processes than there are CPUs.
     Estimates are bitwise identical for any worker count. Side effects of a
     callable integrand in a child's stride do not come back to the caller.
     Without `os.fork` the nodes run serially. Two workers against one on a
@@ -217,7 +219,8 @@ def _run_stride(fn, tasks, k: int, w: int):
 
 
 def _fork_map(fn, tasks, workers: int) -> list:
-    """[fn(t) for t in tasks] over `workers` strides of the task list.
+    """[fn(t) for t in tasks] over `workers` strides of the task list, at
+    most one stride per task and one per CPU (`os.cpu_count()`).
 
     The caller evaluates tasks[0::w]; each further stride k runs in a child
     made by `os.fork` that pickles its results to a pipe and exits. Every
@@ -225,7 +228,7 @@ def _fork_map(fn, tasks, workers: int) -> list:
     of the lowest failing task is raised, as a serial loop would raise it
     (an interrupt or exit in any stride takes precedence).
     """
-    w = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    w = min(workers, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     children, payloads = [], {}
     try:
         for k in range(1, w):

@@ -14,6 +14,12 @@ produces exactly R_b{}^a{}_{cd} Z^b (checked numerically in the tests).
 All combination helpers are generic over the scalar type: they run on plain
 numpy values for pointwise queries and on domain jets when the codomain
 objects are pulled back through a map.
+
+The partials of g̃ that a pullback reads are exact derivative ASTs, derived
+through one `expressions.Calculus` per structure, so every entry and level
+is one DAG; `partials_at` evaluates it with one `jets.AstEvaluator` per
+point, each distinct node once. Neither sharing changes a bit: each node's
+value is a pure function of its children's.
 """
 
 from __future__ import annotations
@@ -49,15 +55,18 @@ def invert_matrix(mat):
         if not np.all(np.isfinite(piv_val)) or np.any(np.abs(piv_val) < 1e-13):
             raise SingularMetricError("metric is singular or indefinite at the evaluation point")
         piv_inv = 1.0 / piv
-        for j in range(n):
+        # columns <= col of `a` are never read again: only those right of it are updated
+        for j in range(col + 1, n):
             a[col][j] = a[col][j] * piv_inv
+        for j in range(n):
             inv[col][j] = inv[col][j] * piv_inv
         for i in range(n):
             if i == col:
                 continue
             factor = a[i][col]
-            for j in range(n):
+            for j in range(col + 1, n):
                 a[i][j] = a[i][j] - factor * a[col][j]
+            for j in range(n):
                 inv[i][j] = inv[i][j] - factor * inv[col][j]
     return inv
 
@@ -251,6 +260,7 @@ class RiemannStructure:
         self.coords = tuple(f"x{i + 1}" for i in range(dim))
         self.metric_asts = matrix_asts
         self._partial_asts: dict = {}
+        self._calculus = ex.Calculus()
         for a in range(dim):
             for b in range(dim):
                 extra = ex.free_vars(matrix_asts[a][b]) - set(self.coords)
@@ -296,15 +306,20 @@ class RiemannStructure:
     # --- partial tables ---------------------------------------------------------
 
     def _partial_ast(self, a: int, b: int, mu: tuple):
-        """Exact derivative AST of g_ab for the sorted coordinate tuple mu."""
+        """Exact derivative AST of g_ab for the sorted coordinate tuple mu.
+
+        All entries and levels are derived through one `Calculus`, so the
+        table is one DAG: a subtree is derived once, whichever entries hold
+        it (the sphere's g̃₁₁ and g̃₂₂ are one node and share everything)."""
         key = (a, b, mu)
         node = self._partial_asts.get(key)
         if node is None:
             if not mu:
                 node = self.metric_asts[a][b]
             else:
-                node = ex.constant_fold(ex.differentiate(self._partial_ast(a, b, mu[:-1]),
-                                                         self.coords[mu[-1]]))
+                calc = self._calculus
+                node = calc.fold(calc.differentiate(self._partial_ast(a, b, mu[:-1]),
+                                                    self.coords[mu[-1]]))
             self._partial_asts[key] = node
         return node
 
@@ -314,13 +329,19 @@ class RiemannStructure:
 
         Partials come from exact derivative expressions, so the table is
         valid whether `env` binds plain values or domain jets (the pullback
-        through a map needs the latter).
+        through a map needs the latter). On jets, one `AstEvaluator` serves
+        every level, so each node of the derivative DAG is evaluated once
+        per table.
         """
         n = self.dim
-        evaluate = jt.eval_ast if any(isinstance(v, jt.Jet) for v in env.values()) else ex.evaluate
+        if any(isinstance(v, jt.Jet) for v in env.values()):
+            evaluate = jt.AstEvaluator(env)
+        else:
+            def evaluate(node):
+                return ex.evaluate(node, env)
 
         def entry(t):
-            return [[evaluate(self._partial_ast(a, b, t), env) for b in range(n)] for a in range(n)]
+            return [[evaluate(self._partial_ast(a, b, t)) for b in range(n)] for a in range(n)]
         return MetricPartials(n, entry, 3)
 
     def partials_from_jets(self, x, max_order: int) -> MetricPartials:
@@ -334,7 +355,8 @@ class RiemannStructure:
         space = jt.jet_space(self.coords, max_order)
         env = space.point_env({self.coords[i]: np.asarray(x[i], dtype=np.float64)
                                for i in range(n)})
-        jets = [[jt.eval_ast(self.metric_asts[a][b], env) for b in range(n)] for a in range(n)]
+        evaluate = jt.AstEvaluator(env)
+        jets = [[evaluate(self.metric_asts[a][b]) for b in range(n)] for a in range(n)]
 
         def entry(t):
             mu = tuple(t.count(c) for c in range(n))

@@ -122,3 +122,149 @@ def reference_validate(fs, samples=64, seed=20240611):
                 b_lam = ex.evaluate(fs.b_ast, env_l)
                 if abs(b_lam - lam * lam * b) > 1e-10 * lam * lam * abs(b) + 1e-12:
                     raise ConfigError("perturbation b is not 2-homogeneous in y")
+
+
+# --- the unshared derive-and-walk path of the codomain partial tables ---------
+#
+# An oracle for the shared derivative DAG (`expressions.Calculus`) and the
+# shared evaluator (`jets.AstEvaluator`): every expression is derived, folded
+# and walked as a tree of its own, and no result is reused.
+
+def unshared_differentiate(node, var):
+    """Exact derivative of one AST, built as a tree of its own."""
+    d = unshared_differentiate
+    if isinstance(node, ex.Const):
+        return ex.Const(0.0)
+    if isinstance(node, ex.Var):
+        return ex.Const(1.0) if node.name == var else ex.Const(0.0)
+    if isinstance(node, ex.BinOp):
+        dl, dr = d(node.left, var), d(node.right, var)
+        if node.op in ("+", "-"):
+            if _zero(dl) and _zero(dr):
+                return ex.Const(0.0)
+            return ex.BinOp(node.op, dl, dr)
+        if node.op == "*":
+            terms = []
+            if not _zero(dl):
+                terms.append(ex.BinOp("*", dl, node.right))
+            if not _zero(dr):
+                terms.append(ex.BinOp("*", node.left, dr))
+            if not terms:
+                return ex.Const(0.0)
+            return terms[0] if len(terms) == 1 else ex.BinOp("+", terms[0], terms[1])
+        first = ex.Const(0.0) if _zero(dl) else ex.BinOp("/", dl, node.right)
+        if _zero(dr):
+            return first
+        return ex.BinOp("-", first, ex.BinOp("/", ex.BinOp("*", node.left, dr),
+                                             ex.Pow(node.right, 2.0)))
+    if isinstance(node, ex.Pow):
+        db = d(node.base, var)
+        if _zero(db) or node.exponent == 0:
+            return ex.Const(0.0)
+        inner = ex.Pow(node.base, node.exponent - 1.0)
+        return ex.BinOp("*", ex.BinOp("*", ex.Const(node.exponent), inner), db)
+    da = d(node.arg, var)
+    if _zero(da):
+        return ex.Const(0.0)
+    f = node.arg
+    outer = {"sqrt": lambda: ex.BinOp("/", ex.Const(0.5), ex.Func("sqrt", f)),
+             "exp": lambda: ex.Func("exp", f),
+             "log": lambda: ex.BinOp("/", ex.Const(1.0), f),
+             "sin": lambda: ex.Func("cos", f),
+             "cos": lambda: ex.BinOp("-", ex.Const(0.0), ex.Func("sin", f)),
+             "tan": lambda: ex.BinOp("/", ex.Const(1.0), ex.Pow(ex.Func("cos", f), 2.0)),
+             "atan": lambda: ex.BinOp("/", ex.Const(1.0),
+                                      ex.BinOp("+", ex.Const(1.0), ex.Pow(f, 2.0)))}[node.name]()
+    return ex.BinOp("*", outer, da)
+
+
+def _zero(node):
+    return isinstance(node, ex.Const) and node.value == 0.0
+
+
+def unshared_fold(node):
+    """Constant folding of one AST that rebuilds every operator node."""
+    import math
+
+    if isinstance(node, (ex.Const, ex.Var)):
+        return node
+    if isinstance(node, ex.BinOp):
+        left, right = unshared_fold(node.left), unshared_fold(node.right)
+        if isinstance(left, ex.Const) and isinstance(right, ex.Const):
+            if node.op == "/" and right.value == 0:
+                return ex.BinOp(node.op, left, right)
+            return ex.Const({"+": left.value + right.value,
+                             "-": left.value - right.value,
+                             "*": left.value * right.value,
+                             "/": left.value / right.value if right.value else math.nan}[node.op])
+        if node.op == "*" and (_zero(left) or _zero(right)):
+            return ex.Const(0.0)
+        if node.op == "*" and isinstance(left, ex.Const) and left.value == 1.0:
+            return right
+        if node.op == "*" and isinstance(right, ex.Const) and right.value == 1.0:
+            return left
+        if node.op in ("+", "-") and _zero(right):
+            return left
+        if node.op == "+" and _zero(left):
+            return right
+        if node.op == "/" and _zero(left):
+            return ex.Const(0.0)
+        return ex.BinOp(node.op, left, right)
+    if isinstance(node, ex.Pow):
+        base = unshared_fold(node.base)
+        if node.exponent == 1.0:
+            return base
+        if isinstance(base, ex.Const) and float(node.exponent).is_integer():
+            return ex.Const(base.value ** node.exponent)
+        return ex.Pow(base, node.exponent)
+    return ex.Func(node.name, unshared_fold(node.arg))
+
+
+def unshared_eval_ast(node, env):
+    """An AST on jets, walked node by node with nothing reused."""
+    from finvar import jets as jt
+
+    def walk(node):
+        if isinstance(node, ex.Const):
+            return node.value
+        if isinstance(node, ex.Var):
+            return env[node.name]
+        if isinstance(node, ex.BinOp):
+            a, b = walk(node.left), walk(node.right)
+            return {"+": lambda: a + b, "-": lambda: a - b,
+                    "*": lambda: a * b, "/": lambda: a / b}[node.op]()
+        if isinstance(node, ex.Pow):
+            base = walk(node.base)
+            p = node.exponent
+            return base ** (int(p) if not isinstance(base, jt.Jet) and float(p).is_integer() else p)
+        arg = walk(node.arg)
+        if isinstance(arg, jt.Jet):
+            return getattr(arg, node.name)()
+        return getattr(np, {"atan": "arctan"}.get(node.name, node.name))(arg)
+
+    result = walk(node)
+    if not isinstance(result, jt.Jet):
+        jet = next(v for v in env.values() if isinstance(v, jt.Jet))
+        return jet.space.constant(np.broadcast_to(result, jet.c.shape[1:]))
+    return result
+
+
+def unshared_partial_ast(rs, a, b, mu):
+    """∂_mu g_ab of a RiemannStructure, derived level by level as a tree of its own."""
+    node = rs.metric_asts[a][b]
+    for k in range(len(mu)):
+        node = unshared_fold(unshared_differentiate(node, rs.coords[mu[k]]))
+    return node
+
+
+def unshared_partials(rs, env, order):
+    """Level `order` of the partial table at `env`: [c..][a][b] = g_ab,c.., as jets."""
+    import itertools
+
+    n = rs.dim
+    out = {}
+    for t in itertools.product(range(n), repeat=order):
+        mu = tuple(sorted(t))
+        out[t] = [[unshared_eval_ast(unshared_partial_ast(rs, a, b, mu), env)
+                   for b in range(n)] for a in range(n)]
+    return out

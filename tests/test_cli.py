@@ -227,12 +227,22 @@ def test_output_block_is_rejected(tmp_path, capsys):
     ("check", {"perturbation": {"b": "x1*y1^2", "a": ["1"]}}, ["identity"]),
     ("tension", {"map": {"components": 5}}, []),
     ("check", {"variation": {"components": 3}}, ["first-variation"]),
+    ("tension", {"codomain": {"type": "sphere", "dimension": 0}}, []),
+    ("tension", {"codomain": {"type": "sphere", "dimension": -2}}, []),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
     assert main([command, "--config", cfg, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, dim", [("sphere", 0), ("sphere", -2), ("euclidean", 0)])
+def test_codomain_dimension_below_one_names_the_key(tmp_path, capsys, kind, dim):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS,
+                                        "codomain": {"type": kind, "dimension": dim}})
+    assert main(["tension", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: codomain.dimension must be >= 1, got {dim}\n"
 
 
 def test_unexpected_exception_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 from finvar import expressions as ex
 from finvar.errors import ExpressionError
 
+from helpers import random_expression, unshared_differentiate, unshared_fold
+
 NAMES = ["x1", "x2", "y1", "y2"]
 
 
@@ -93,3 +95,30 @@ def test_syntax_error_carries_position():
 def test_unknown_function_rejected():
     with pytest.raises(ExpressionError):
         ex.parse("sinh(x1)", NAMES)
+
+
+def test_shared_derivatives_print_as_the_unshared_trees():
+    rng = np.random.default_rng(11)
+    shared = ex.parse("sin(x1*y1)", NAMES)
+    nodes = [random_expression(rng, NAMES, depth=4) for _ in range(20)]
+    nodes += [ex.parse("sqrt(x1^2 + 1) + log(2 + y1^2) - tan(x2/3) + atan(y2)*exp(x1)", NAMES),
+              ex.BinOp("/", ex.BinOp("*", shared, shared), ex.BinOp("+", shared, ex.Const(3.0)))]
+    calc = ex.Calculus()
+    for node in nodes:
+        for v in NAMES:
+            ref = unshared_fold(unshared_differentiate(node, v))
+            assert ex.to_source(ex.constant_fold(ex.differentiate(node, v))) == ex.to_source(ref)
+            once = calc.fold(calc.differentiate(node, v))
+            assert ex.to_source(once) == ex.to_source(ref)
+            assert calc.fold(calc.differentiate(node, v)) is once
+            for w in NAMES[:2]:
+                ref2 = unshared_fold(unshared_differentiate(ref, w))
+                assert ex.to_source(calc.fold(calc.differentiate(once, w))) == ex.to_source(ref2)
+
+
+def test_constant_fold_keeps_signed_zeros_apart():
+    node = ex.BinOp("+", ex.BinOp("*", ex.Const(-0.0), ex.Const(2.0)),
+                    ex.BinOp("*", ex.Const(0.0), ex.Const(2.0)))
+    calc = ex.Calculus()
+    left, right = calc.fold(node.left), calc.fold(node.right)
+    assert math.copysign(1.0, left.value) == -1.0 and math.copysign(1.0, right.value) == 1.0

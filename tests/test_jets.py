@@ -221,3 +221,32 @@ def test_unrelated_jet_spaces_do_not_combine():
             a + b
         with pytest.raises(ValueError):
             a * b
+
+
+def test_eval_ast_evaluates_a_shared_subtree_once_and_keeps_only_its_value(monkeypatch):
+    import collections
+
+    from helpers import unshared_eval_ast
+
+    env = _env(XY, 4, [0.3, -0.4], [np.linspace(-0.9, 0.9, 5), 0.6])
+    shared = ex.parse("sin(x1*y1) + y2^2", XY)
+    node = ex.BinOp("*", shared, ex.BinOp("/", ex.parse("x2 + 3", XY), shared))
+    calls = collections.Counter()
+    compute = jt.AstEvaluator._compute
+
+    def counting(self, n):
+        calls[id(n)] += 1
+        return compute(self, n)
+
+    monkeypatch.setattr(jt.AstEvaluator, "_compute", counting)
+    evaluator = jt._SingleAst(env, node)
+    got = evaluator(node)
+    assert calls[id(shared)] == 1 and set(calls.values()) == {1}
+    # only the shared subtree's value is held; a walk of a tree holds none after it
+    assert [n for n, _ in evaluator._memo.values()] == [shared]
+    ref = unshared_eval_ast(node, env)
+    assert got.c.tobytes() == ref.c.tobytes() and got.order == ref.order
+    tree = ex.parse("sin(x1*y1)*(x2 + 3)/(1 + y2^2)", XY)
+    walk = jt._SingleAst(env, tree)
+    assert walk(tree).c.tobytes() == unshared_eval_ast(tree, env).c.tobytes()
+    assert walk._memo == {}

@@ -326,7 +326,8 @@ def _shared_outputs(x_resolution, workers):
     return out + list(div.values())
 
 
-def test_node_sharing_is_bitwise_identical_for_any_worker_count():
+def test_node_sharing_is_bitwise_identical_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)     # 3 and 7 strides on any machine
     one = _shared_outputs(3, 1)
     for workers in (2, 3):
         assert _shared_outputs(3, workers) == one, workers
@@ -354,7 +355,8 @@ def _no_children_and_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
-def test_a_failing_node_raises_what_a_serial_loop_raises():
+def test_a_failing_node_raises_what_a_serial_loop_raises(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)     # 3 strides on any machine
     fds = _no_children_and_fds()
     # node 1 is outside stride 0 at two workers; of nodes 3 (a child's) and
     # 4 (the caller's), and of nodes 2 and 5, the lower index wins
@@ -367,4 +369,33 @@ def test_a_failing_node_raises_what_a_serial_loop_raises():
         assert _no_children_and_fds() == fds
     q.integrate("y1*0 + 1", _torus_euclid(), q.QuadratureSpec(x_resolution=3, y_samples=16,
                                                               workers=3))
+    assert _no_children_and_fds() == fds
+
+
+def test_strides_are_capped_at_the_cpu_count(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    fds = _no_children_and_fds()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = list(range(9))
+    assert q._fork_map(lambda t: t * t, tasks, 10 ** 9) == [t * t for t in tasks]
+    assert len(forks) == 1
+    # an unknown CPU count runs the nodes in the caller
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert q._fork_map(lambda t: t * t, tasks, 4) == [t * t for t in tasks]
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = _sphere_family().base
+    spec = q.QuadratureSpec(x_resolution=2, y_samples=16, seed=3)
+    huge = q.energy(m, q.QuadratureSpec(x_resolution=2, y_samples=16, seed=3,
+                                        workers=10 ** 9))
+    assert len(forks) == 2
+    serial = q.energy(m, spec)
+    assert (huge.value, huge.stderr) == (serial.value, serial.stderr)
     assert _no_children_and_fds() == fds

@@ -209,3 +209,125 @@ def test_partial_tables_fill_each_level_on_first_read():
     assert np.array(via_ast.d3, dtype=float).shape == (2, 2, 2, 2, 2)
     with pytest.raises(OrderLimitError):
         via_jets.d2
+
+
+# --- the shared derivative DAG against the unshared derive-and-walk path ---------
+
+_GEN_B = "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2) + 0.2*sin(x1)*y1^3*y2/(y1^2 + y2^2)"
+
+
+def _signed_zero_metric():
+    """Hand-built entries whose signed-zero leaves must stay apart: equal as
+    dataclasses (`Const(0.0) == Const(-0.0)`), different as float hex."""
+    x1, x2 = ex.Var("x1"), ex.Var("x2")
+    g11 = ex.BinOp("+", ex.BinOp("*", ex.Const(-0.0), x1),
+                   ex.BinOp("+", ex.Const(2.0), ex.Func("sin", ex.BinOp("*", x1, x2))))
+    g22 = ex.BinOp("+", ex.BinOp("*", ex.Const(0.0), x2),
+                   ex.BinOp("/", ex.Const(3.0), ex.BinOp("+", ex.Const(1.5), ex.Pow(x1, 2.0))))
+    return rm.RiemannStructure(2, [[g11, ex.Const(-0.0)], [ex.Const(0.0), g22]], label="zeros")
+
+
+def _dag_structures():
+    from finvar.identity import PerturbationSetup
+    from finvar.finsler import BoxChart
+
+    setup = PerturbationSetup(
+        [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"], ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]],
+        _GEN_B, 2, chart=BoxChart(((-1.0, 1.0), (-1.0, 1.0))), scale=0.05)
+    return {"sphere2": rm.RiemannStructure.sphere(2), "sphere3": rm.RiemannStructure.sphere(3),
+            "euclidean": rm.RiemannStructure.euclidean(2), "zeros": _signed_zero_metric(),
+            "crit8-base": setup.base_structure}
+
+
+def _phi_env(rs, batched):
+    """φ-jets at one base point of a 2-D domain, in the x-only space at order 6."""
+    from finvar import jets as jt
+
+    names = ("x1", "x2")
+    x1 = np.array([0.31, -0.2, 0.05]) if batched else np.asarray(0.31)
+    env = jt.jet_space(names, 6).point_env({"x1": x1, "x2": np.asarray(-0.27)})
+    comps = ["0.3 + 0.2*cos(x1)", "0.3*sin(x2) - 0.1*x1", "0.1*x1*x2 + 0.2"][:rs.dim]
+    return {rs.coords[a]: jt.eval_ast(ex.parse(c, names), env) for a, c in enumerate(comps)}
+
+
+def _hex(jet):
+    return jet.order, jet.space.names, jet.c.shape, [float(v).hex() for v in jet.c.ravel()]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["batch-free", "batched"])
+@pytest.mark.parametrize("name", ["sphere2", "sphere3", "euclidean", "zeros", "crit8-base"])
+def test_partials_at_is_bit_identical_to_the_unshared_path(name, batched):
+    import itertools
+
+    from helpers import unshared_partials
+
+    rs = _dag_structures()[name]
+    env = _phi_env(rs, batched)
+    table = rs.partials_at(env)
+    for level in range(4):
+        got = getattr(table, f"d{level}")
+        for t, ref in unshared_partials(rs, env, level).items():
+            entry = got
+            for c in t:
+                entry = entry[c]
+            for a, b in itertools.product(range(rs.dim), repeat=2):
+                assert _hex(entry[a][b]) == _hex(ref[a][b]), (level, t, a, b)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3", "euclidean", "zeros", "crit8-base"])
+def test_shared_derivative_asts_print_as_the_unshared_ones(name):
+    import itertools
+
+    from helpers import unshared_partial_ast
+
+    rs = _dag_structures()[name]
+    for k in range(4):
+        for mu in itertools.combinations_with_replacement(range(rs.dim), k):
+            for a, b in itertools.product(range(rs.dim), repeat=2):
+                assert (ex.to_source(rs._partial_ast(a, b, mu))
+                        == ex.to_source(unshared_partial_ast(rs, a, b, mu))), (mu, a, b)
+
+
+def _dag_nodes(roots):
+    """The distinct node objects reachable from `roots`, by identity."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, f) for f in ("left", "right", "base", "arg")
+                         if hasattr(node, f))
+    return seen
+
+
+def test_each_distinct_node_of_the_sphere_table_is_evaluated_once(monkeypatch):
+    import collections
+    import itertools
+
+    from finvar import jets as jt
+
+    rs = rm.RiemannStructure.sphere(2)
+    env = _phi_env(rs, batched=False)
+    seen = collections.Counter()
+    compute = jt.AstEvaluator._compute
+
+    def counting(self, node):
+        seen[id(node)] += 1
+        return compute(self, node)
+
+    monkeypatch.setattr(jt.AstEvaluator, "_compute", counting)
+    table = rs.partials_at(env)
+    table.d0, table.d1, table.d2
+    roots = [rs._partial_ast(a, b, mu) for k in range(3)
+             for mu in itertools.combinations_with_replacement(range(2), k)
+             for a in range(2) for b in range(2)]
+    nodes = _dag_nodes(roots)
+    assert set(seen) == set(nodes) and set(seen.values()) == {1}
+    # the 642 tree nodes of the 12 distinct entries collapse into far fewer shared ones
+    tree_nodes = sum(_tree_size(r) for r in {id(r): r for r in roots}.values())
+    assert len(nodes) < tree_nodes // 4, (len(nodes), tree_nodes)
+
+
+def _tree_size(node):
+    return 1 + sum(_tree_size(getattr(node, f)) for f in ("left", "right", "base", "arg")
+                   if hasattr(node, f))
