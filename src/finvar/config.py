@@ -75,12 +75,18 @@ def _require_keys(block: dict, allowed: set, where: str):
 
 
 def _number(value, kind, where: str):
-    """`kind(value)`, or a ConfigError naming the key `where` of a mistyped or
-    non-finite value (JSON's `NaN` and `Infinity` included)."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
+    """`value` as a `kind`, or a ConfigError naming the key `where`: a string,
+    a bool, a non-finite number (JSON's `NaN` and `Infinity` included) and,
+    for an int, a fractional one are refused rather than converted."""
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if kind is float:
+                number = float(value)
+            elif isinstance(value, int) or value.is_integer():
+                number = int(value)
+        except OverflowError:
+            pass
     if number is None or kind is float and not math.isfinite(number):
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where} must be {noun}, got {value!r}")
@@ -92,6 +98,13 @@ def _numbers(values, kind, where: str, length=None) -> tuple:
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         raise ConfigError(f"{where} must be a list of {length or 'some'} numbers, got {values!r}")
     return tuple(_number(v, kind, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _positive(number, where: str):
+    """`number` if it is > 0, else a ConfigError naming the key `where`."""
+    if not number > 0:
+        raise ConfigError(f"{where} must be > 0, got {number!r}")
+    return number
 
 
 def _shaped(value, shape: tuple, where: str):
@@ -156,12 +169,18 @@ class RunConfig:
         kind = block.get("type")
         n = self.dimension
         if kind == "torus":
-            return TorusChart(_numbers(block.get("periods", [1.0] * n), float,
-                                       "domain.chart.periods", n))
+            periods = _numbers(block.get("periods", [1.0] * n), float, "domain.chart.periods", n)
+            return TorusChart(tuple(_positive(p, f"domain.chart.periods[{i}]")
+                                    for i, p in enumerate(periods)))
         if kind == "box":
             bounds = _shaped(block.get("bounds", [[-1.0, 1.0]] * n), (n,), "domain.chart.bounds")
-            return BoxChart(tuple(_numbers(b, float, f"domain.chart.bounds[{i}]", 2)
-                                  for i, b in enumerate(bounds)))
+            bounds = tuple(_numbers(b, float, f"domain.chart.bounds[{i}]", 2)
+                           for i, b in enumerate(bounds))
+            for i, (lo, hi) in enumerate(bounds):
+                if not lo < hi:
+                    raise ConfigError(f"domain.chart.bounds[{i}] must have lo < hi, "
+                                      f"got [{lo!r}, {hi!r}]")
+            return BoxChart(bounds)
         raise ConfigError(f"domain.chart.type must be 'torus' or 'box', got {kind!r}")
 
     def finsler(self) -> FinslerStructure:
@@ -202,8 +221,8 @@ class RunConfig:
         if kind == "euclidean":
             return RiemannStructure.euclidean(dim)
         if kind == "sphere":
-            return RiemannStructure.sphere(dim, _number(block.get("radius", 1.0), float,
-                                                        "codomain.radius"))
+            radius = _number(block.get("radius", 1.0), float, "codomain.radius")
+            return RiemannStructure.sphere(dim, _positive(radius, "codomain.radius"))
         if kind == "custom":
             if "matrix" not in block:
                 raise ConfigError("codomain: 'custom' requires 'matrix'")
@@ -250,9 +269,7 @@ class RunConfig:
     def c_grid(self):
         block = self.data.get("perturbation", {})
         grid = _numbers(block.get("c_grid", DEFAULT_C_GRID), float, "perturbation.c_grid")
-        if not all(c > 0 for c in grid):
-            raise ConfigError(f"perturbation.c_grid entries must be > 0, got {list(grid)}")
-        return grid
+        return tuple(_positive(c, f"perturbation.c_grid[{i}]") for i, c in enumerate(grid))
 
     def quadrature_spec(self, seed_override=None) -> QuadratureSpec:
         block = dict(self.data.get("quadrature", {}))

@@ -23,7 +23,7 @@ Conventions (indices are 0-based in code):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -208,7 +208,8 @@ class FinslerStructure:
     # --- construction-time validation --------------------------------------------
 
     def _validate(self):
-        """Check the hypotheses on F at 64 points drawn from a fixed seed.
+        """Check the hypotheses on F at 64 points drawn from a fixed seed
+        (once per sample box and dimension, `_validation_samples`).
 
         Each point has x uniform in the chart's sample box and y in a random
         direction with |y| uniform in [0.5, 2]. Four checks run at every
@@ -222,17 +223,9 @@ class FinslerStructure:
         an earlier check at the same point, fails a check: a loop over the
         points would have stopped at that failure before the evaluation.
         """
-        samples = 64
-        rng = np.random.default_rng(20240611)
-        box = self.chart.sample_box()
         n = self.dim
-        xs, ys = [], []
-        for _ in range(samples):
-            xs.append(np.array([rng.uniform(lo, hi) for lo, hi in box]))
-            y = rng.normal(size=n)
-            y *= rng.uniform(0.5, 2.0) / np.linalg.norm(y)
-            ys.append(y)
-        x, y = np.stack(xs, axis=1), np.stack(ys, axis=1)
+        x, y = _validation_samples(tuple(map(tuple, self.chart.sample_box())), n)
+        samples = x.shape[1]
         lams = (0.5, 2.0, 7.0)
 
         def at(ast, yv):
@@ -264,11 +257,28 @@ class FinslerStructure:
         if bad.size == 0:
             return
         k = bad[0]
-        x, y = xs[k], ys[k]
+        x, y = x[:, k], y[:, k]
         raise ConfigError([f"F(x,y) not positive at sample x={x}, y={y}",
                            "F is not positively 1-homogeneous in y",
                            f"metric tensor not positive definite at sample x={x}, y={y}",
                            "perturbation b is not 2-homogeneous in y"][np.argmax(failed[:, k])])
+
+
+@lru_cache(maxsize=32)
+def _validation_samples(box: tuple, n: int):
+    """The 64 validation points of `FinslerStructure._validate` in a sample
+    box: x and y, each of shape (n, 64) and read-only, drawn once per
+    (box, n) from a fixed seed."""
+    rng = np.random.default_rng(20240611)
+    xs, ys = [], []
+    for _ in range(64):
+        xs.append(np.array([rng.uniform(lo, hi) for lo, hi in box]))
+        y = rng.normal(size=n)
+        y *= rng.uniform(0.5, 2.0) / np.linalg.norm(y)
+        ys.append(y)
+    x, y = np.stack(xs, axis=1), np.stack(ys, axis=1)
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 def _quadratic_form_ast(matrix_asts, dim):

@@ -27,6 +27,18 @@ would regroup `np.add.reduceat`'s sums. `deriv` by a name outside the jet's
 space gives a zero jet, and `partial(mu)` takes a multi-index over the jet's
 own space, so an x-only jet is read with an x-only multi-index.
 
+Arithmetic pays only for coefficients it can change. `+`, `-` and `*` of two
+jets of one space object and one batch rank go straight to their NumPy
+kernel; the embedding runs only for two spaces and the batch alignment only
+for two batch ranks. `a - b` is one subtraction, bitwise the sum with the
+negation. Each jet carries a `zero` flag, True only when every coefficient is
+exactly 0, set where that is known when the jet is made (see `Jet`). A
+product with a zero factor is a fresh zero jet and runs no Leibniz kernel; a
+sum with a zero term is the other term when that one already has the result's
+space, order and batch shape. Neither changes a nonzero coefficient, since
+x + 0 = x. They can change only the sign of a zero coefficient, and 0 × inf
+or 0 × NaN, which is 0 on the skipped path where the kernel gives NaN.
+
 `AstEvaluator` evaluates a family of expression ASTs in one environment, each
 distinct node object once: ASTs that share subtrees share their jets.
 `eval_ast` evaluates one AST the same way, keeping only the values it reads
@@ -89,6 +101,7 @@ class JetSpace:
                 shifted = tuple(e[k] + (1 if k == v else 0) for k in range(self.m))
                 self._deriv_idx[v, i] = self.index[shifted]
         self._mul_tables: dict = {}
+        self._prefix_row_cache: dict = {}
         # all orders' tables are built with the space: `benchmarks/tracing.py`
         # reads the left operand's table at a product's order, also when the
         # product of an x-only jet and an (x, y) jet ran the (x, y) table
@@ -125,19 +138,38 @@ class JetSpace:
         self._mul_tables[r] = table
         return table
 
+    def _prefix_rows(self, m: int, order: int) -> np.ndarray:
+        """Indices of the rows of degree <= `order` whose exponents past the
+        first `m` names are all 0: where a jet over those m names embeds."""
+        rows = self._prefix_row_cache.get((m, order))
+        if rows is None:
+            own = ~self.exps[:self.nrows[order], m:].any(axis=1)
+            rows = self._prefix_row_cache[(m, order)] = np.flatnonzero(own)
+        return rows
+
     # --- constructors ---------------------------------------------------------
 
     def constant(self, value) -> "Jet":
+        return self._seeded(value, None)
+
+    def variable(self, name, value) -> "Jet":
+        if name not in self.var_pos:
+            raise ValueError(f"{name!r} is not a variable of the jet space {self.names}")
+        return self._seeded(value, name if self.order >= 1 else None)
+
+    def _seeded(self, value, name) -> "Jet":
+        """The jet of value + (name - value), or of the constant when `name`
+        is None; its coefficients are final before the jet is made."""
         value = np.asarray(value, dtype=np.float64)
         c = np.zeros((self.ncoef,) + value.shape)
         c[0] = value
-        return Jet(self, c, self.order)
+        if name is not None:
+            c[self.index[tuple(1 if v == name else 0 for v in self.names)]] = 1.0
+        return Jet(self, c, self.order, name is None and not value.any())
 
-    def variable(self, name, value) -> "Jet":
-        jet = self.constant(value)
-        if self.order >= 1:
-            jet.c[self.index[tuple(1 if v == name else 0 for v in self.names)]] = 1.0
-        return jet
+    def zeros(self, order: int, batch: tuple) -> "Jet":
+        """A fresh zero jet of effective order `order` over a batch of shape `batch`."""
+        return Jet(self, np.zeros((self.nrows[order],) + batch), order, True)
 
     def point_env(self, values: dict) -> dict:
         """Seeded variable jets for evaluating expressions at a point."""
@@ -154,6 +186,9 @@ def _lift(c: np.ndarray, ndim: int) -> np.ndarray:
     return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
 
 
+_NUMBERS = (float, int)   # Python numbers (and NumPy float64): no array coercion
+
+
 class Jet:
     """Truncated multivariate Taylor expansion with plain-partial coefficients.
 
@@ -161,14 +196,22 @@ class Jet:
     products lower it).  `c` holds only the rows of total degree <= `order`, the
     graded prefix of the space's multi-index table: shape
     `(space.nrows[order],) + batch`.
+
+    `zero` is True only when every coefficient is exactly 0 (either sign). It
+    is set where that is known for free or by one small `any()`: a constant
+    of zero, `deriv` by an absent name, of a zero jet or with all gathered
+    rows 0, a product with a zero factor, the negation or embedding of a zero
+    and the sum of two zeros. It may be False on a zero jet, never True on
+    another, so `c` is never written after a jet is made.
     """
 
-    __slots__ = ("space", "c", "order", "_embedded")
+    __slots__ = ("space", "c", "order", "zero", "_embedded")
 
-    def __init__(self, space: JetSpace, c: np.ndarray, order: int):
+    def __init__(self, space: JetSpace, c: np.ndarray, order: int, zero: bool = False):
         self.space = space
         self.c = c
         self.order = order
+        self.zero = zero
         self._embedded = None
 
     def _in(self, space: JetSpace) -> "Jet":
@@ -183,10 +226,10 @@ class Jet:
                 raise ValueError(f"jets over {self.space.names} and {space.names} do not "
                                  "combine: neither variable list is a prefix of the other")
             order = min(self.order, space.order)
-            own = ~space.exps[:space.nrows[order], m:].any(axis=1)
-            c = np.zeros(own.shape + self.c.shape[1:])
-            c[own] = self.c[:self.space.nrows[order]]
-            up = self._embedded = Jet(space, c, order)
+            own = space._prefix_rows(m, order)
+            c = np.zeros((space.nrows[order],) + self.c.shape[1:])
+            c[own] = self.c[:len(own)]
+            up = self._embedded = Jet(space, c, order, self.zero)
         return up
 
     def _common(self, other: "Jet"):
@@ -225,41 +268,83 @@ class Jet:
         ndim = max(a.ndim, b.ndim)
         return _lift(a, ndim), _lift(b, ndim)
 
+    def _sum(self, other: "Jet", subtract: bool) -> "Jet":
+        """self + other, or self - other in one `np.subtract` (IEEE defines
+        x - y as x + (-y), so the bits are those of the sum with a negation).
+
+        A zero term is skipped when the other term already is the result:
+        same space, order and batch shape. x + 0 = x for every nonzero x, so
+        that changes at most the sign of a zero coefficient."""
+        a, b = (self, other) if self.space is other.space else self._common(other)
+        order = min(a.order, b.order)
+        if b.zero and a.order == order and (b.c.ndim == 1 or b.c.shape[1:] == a.c.shape[1:]):
+            return a
+        if a.zero and not subtract and b.order == order and b.space is a.space \
+                and (a.c.ndim == 1 or a.c.shape[1:] == b.c.shape[1:]):
+            return b
+        ac, bc = a.c, b.c
+        if a.order != b.order:
+            n = a.space.nrows[order]
+            ac, bc = ac[:n], bc[:n]
+        if ac.ndim != bc.ndim:
+            ac, bc = self._align_pair(ac, bc)
+        c = np.subtract(ac, bc) if subtract else np.add(ac, bc)
+        return Jet(a.space, c, order, a.zero and b.zero)
+
+    def _shift(self, other, subtract: bool) -> "Jet":
+        """self ± a number or array, which moves only the value row."""
+        if isinstance(other, _NUMBERS):
+            c = self.c.copy()
+        else:
+            c, other = self._align(other)
+            c = np.broadcast_to(c, c.shape[:1] + np.broadcast_shapes(c.shape[1:], other.shape))
+            c = c.copy()
+        c[0] = c[0] - other if subtract else c[0] + other
+        return Jet(self.space, c, self.order)
+
     def __add__(self, other):
         if isinstance(other, Jet):
-            self, other = self._common(other)
-            order = min(self.order, other.order)
-            n = self.space.nrows[order]
-            a, b = self._align_pair(self.c[:n], other.c[:n])
-            return Jet(self.space, a + b, order)
-        c, other = self._align(other)
-        head = c[0] + other
-        c = np.broadcast_to(c, c.shape[:1] + head.shape).copy()
-        c[0] = head
-        return Jet(self.space, c, self.order)
+            return self._sum(other, False)
+        return self._shift(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.order)
+        return Jet(self.space, -self.c, self.order, self.zero)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
+        if isinstance(other, Jet):
+            return self._sum(other, True)
+        return self._shift(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """The Leibniz product, or the scaled coefficients for a number.
+
+        A product with a zero factor is a fresh zero jet and runs no kernel,
+        so 0 × inf and 0 × NaN give 0 there, where the kernel gives NaN."""
         if not isinstance(other, Jet):
+            if isinstance(other, _NUMBERS):
+                return Jet(self.space, self.c * other, self.order,
+                           self.zero and math.isfinite(other))
             c, other = self._align(other)
             return Jet(self.space, c * other, self.order)
-        self, other = self._common(other)
-        sp = self.space
-        r = min(self.order, other.order)
-        ii, jj, ww, starts = sp._mul_table(r)
-        a, b = self._align_pair(self.c, other.c)
-        prod = a[ii] * b[jj]
-        prod *= ww.reshape((-1,) + (1,) * (prod.ndim - 1))
+        a, b = (self, other) if self.space is other.space else self._common(other)
+        sp = a.space
+        r = min(a.order, b.order)
+        ac, bc = a.c, b.c
+        if a.zero or b.zero:
+            batch = ac.shape[1:]
+            if bc.shape[1:] != batch:
+                batch = np.broadcast_shapes(batch, bc.shape[1:])
+            return sp.zeros(r, batch)
+        ii, jj, ww, starts = sp._mul_tables[r]
+        if ac.ndim != bc.ndim:
+            ac, bc = self._align_pair(ac, bc)
+        prod = ac[ii] * bc[jj]
+        prod *= ww if prod.ndim == 1 else ww.reshape((-1,) + (1,) * (prod.ndim - 1))
         return Jet(sp, np.add.reduceat(prod, starts, axis=0), r)
 
     __rmul__ = __mul__
@@ -306,19 +391,21 @@ class Jet:
         sp = self.space
         order = self.order - 1
         if name not in sp.var_pos:
-            return Jet(sp, np.zeros((sp.nrows[order],) + self.c.shape[1:]), order)
-        return Jet(sp, self.c[sp._deriv_idx[sp.var_pos[name], :sp.nrows[order]]], order)
+            return sp.zeros(order, self.c.shape[1:])
+        c = self.c[sp._deriv_idx[sp.var_pos[name], :sp.nrows[order]]]
+        return Jet(sp, c, order, self.zero or not c.any())
 
     # --- analytic functions (truncated composition h(f) = sum h_k (f-f0)^k) ----
 
     def _compose(self, taylor_coeffs):
         """taylor_coeffs[k] = h^(k)(value)/k!, each a scalar or batch array."""
-        u = Jet(self.space, self.c.copy(), self.order)
-        u.c[0] = 0.0
+        c = self.c.copy()
+        c[0] = 0.0
+        u = Jet(self.space, c, self.order, self.zero)
         # the constant term, truncated like `self`: an order-0 argument stays order 0
-        acc = Jet(self.space, np.zeros((self.space.nrows[self.order],) + self.c.shape[1:]),
-                  self.order)
-        acc.c[0] = taylor_coeffs[0]
+        c = np.zeros((self.space.nrows[self.order],) + self.c.shape[1:])
+        c[0] = taylor_coeffs[0]
+        acc = Jet(self.space, c, self.order)
         power = None
         for k in range(1, self.order + 1):
             power = u if power is None else power * u

@@ -1,9 +1,12 @@
 """Shared test utilities: random smooth expressions and finite-difference
 oracles for jet coefficients."""
 
+import contextlib
+
 import numpy as np
 
 from finvar import expressions as ex
+from finvar import jets as jt
 
 
 def random_expression(rng, names, depth=3):
@@ -268,3 +271,93 @@ def unshared_partials(rs, env, order):
         out[t] = [[unshared_eval_ast(unshared_partial_ast(rs, a, b, mu), env)
                    for b in range(n)] for a in range(n)]
     return out
+
+
+# --- jet `+`, `-` and `*` as they were before the dispatch and zero rules -----
+#
+# An oracle for `jets.Jet`'s arithmetic: every operation embeds and aligns its
+# operands and runs its kernel, exact zeros included, and reads no `zero`
+# flag. `reference_arithmetic()` installs it on `Jet` for the length of a
+# `with` block, so every product and sum inside the engine (powers, functions,
+# divisions) runs it too.
+
+def _reference_embed(jet, space):
+    """`jet` in `space`, whose names extend the jet's own: its rows scattered
+    into zeros at the rows that involve the other names."""
+    m = jet.space.m
+    if space.names[:m] != jet.space.names:
+        raise ValueError(f"jets over {jet.space.names} and {space.names} do not combine")
+    order = min(jet.order, space.order)
+    own = ~space.exps[:space.nrows[order], m:].any(axis=1)
+    c = np.zeros(own.shape + jet.c.shape[1:])
+    c[own] = jet.c[:jet.space.nrows[order]]
+    return jt.Jet(space, c, order)
+
+
+def _reference_common(a, b):
+    if a.space.names == b.space.names:
+        return a, b
+    if a.space.m < b.space.m:
+        return _reference_embed(a, b.space), b
+    return a, _reference_embed(b, a.space)
+
+
+def reference_add(a, b):
+    if isinstance(b, jt.Jet):
+        a, b = _reference_common(a, b)
+        order = min(a.order, b.order)
+        n = a.space.nrows[order]
+        ac, bc = jt.Jet._align_pair(a.c[:n], b.c[:n])
+        return jt.Jet(a.space, ac + bc, order)
+    b = np.asarray(b, dtype=np.float64)
+    c = jt._lift(a.c, b.ndim + 1)
+    head = c[0] + b
+    c = np.broadcast_to(c, c.shape[:1] + head.shape).copy()
+    c[0] = head
+    return jt.Jet(a.space, c, a.order)
+
+
+def reference_neg(a):
+    return jt.Jet(a.space, -a.c, a.order)
+
+
+def reference_sub(a, b):
+    return reference_add(a, reference_neg(b) if isinstance(b, jt.Jet) else -np.asarray(b))
+
+
+def reference_rsub(a, b):
+    return reference_add(reference_neg(a), b)
+
+
+def reference_mul(a, b):
+    if not isinstance(b, jt.Jet):
+        b = np.asarray(b, dtype=np.float64)
+        return jt.Jet(a.space, jt._lift(a.c, b.ndim + 1) * b, a.order)
+    a, b = _reference_common(a, b)
+    sp = a.space
+    r = min(a.order, b.order)
+    ii, jj, ww, starts = sp._mul_table(r)
+    ac, bc = jt.Jet._align_pair(a.c, b.c)
+    prod = ac[ii] * bc[jj]
+    prod *= ww.reshape((-1,) + (1,) * (prod.ndim - 1))
+    return jt.Jet(sp, np.add.reduceat(prod, starts, axis=0), r)
+
+
+_REFERENCE_OPS = {"__add__": reference_add, "__radd__": reference_add,
+                  "__sub__": reference_sub, "__rsub__": reference_rsub,
+                  "__neg__": reference_neg,
+                  "__mul__": reference_mul, "__rmul__": reference_mul}
+
+
+@contextlib.contextmanager
+def reference_arithmetic():
+    """Every jet `+`, `-` and `*` runs the reference operations above inside
+    the block; `Jet`'s own are restored on exit."""
+    saved = {k: jt.Jet.__dict__[k] for k in _REFERENCE_OPS}
+    for k, op in _REFERENCE_OPS.items():
+        setattr(jt.Jet, k, op)
+    try:
+        yield
+    finally:
+        for k, op in saved.items():
+            setattr(jt.Jet, k, op)

@@ -185,6 +185,38 @@ def test_output_block_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def _torus(periods):
+    return {"domain": {"type": "euclidean", "chart": {"type": "torus", "periods": periods}}}
+
+
+def _box(bounds):
+    return {"domain": {"type": "euclidean", "chart": {"type": "box", "bounds": bounds}}}
+
+
+def _sphere(**codomain):
+    return {"codomain": {"type": "sphere", **codomain}}
+
+
+# numbers that describe no geometry, and the key each message must name
+NO_GEOMETRY = [
+    ("geom", _torus([-1, 1]), ["--point", "0.1,0.2,1,0"], "domain.chart.periods[0]"),
+    ("geom", _torus([1, 0]), ["--point", "0.1,0.2,1,0"], "domain.chart.periods[1]"),
+    ("geom", _box([[1, -1], [-1, 1]]), ["--point", "0.1,0.2,1,0"], "domain.chart.bounds[0]"),
+    ("geom", _box([[-1, 1], [0, 0]]), ["--point", "0.1,0.2,1,0"], "domain.chart.bounds[1]"),
+    ("tension", _sphere(radius=0), [], "codomain.radius"),
+    ("tension", _sphere(radius=-1), [], "codomain.radius"),
+    ("tension", _sphere(dimension="2"), [], "codomain.dimension"),
+    ("tension", _sphere(dimension=2.5), [], "codomain.dimension"),
+    ("tension", _sphere(dimension=True), [], "codomain.dimension"),
+    ("tension", _sphere(radius="2"), [], "codomain.radius"),
+    ("tension", _sphere(radius=False), [], "codomain.radius"),
+    ("tension", {"domain": {"type": "perturbed", "matrix": [["1", "0"], ["0", "1"]],
+                            "b": "x1*y1^2", "scale": "2"}}, [], "domain.scale"),
+    ("tension", {"tolerances": {"harmonic": "0.1"}}, [], "tolerances.harmonic"),
+    ("geom", _torus(["1", 1]), ["--point", "0.1,0.2,1,0"], "domain.chart.periods[0]"),
+]
+
+
 @pytest.mark.parametrize("command, change, extra", [
     ("geom", {}, ["--point", "0.1,0.2,abc,1"]),
     ("energy", {"dimension": "two"}, []),
@@ -229,12 +261,26 @@ def test_output_block_is_rejected(tmp_path, capsys):
     ("check", {"variation": {"components": 3}}, ["first-variation"]),
     ("tension", {"codomain": {"type": "sphere", "dimension": 0}}, []),
     ("tension", {"codomain": {"type": "sphere", "dimension": -2}}, []),
-])
+] + [case[:3] for case in NO_GEOMETRY])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
     assert main([command, "--config", cfg, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, change, extra, key", NO_GEOMETRY)
+def test_numbers_that_describe_no_geometry_name_the_key(tmp_path, capsys, command, change,
+                                                        extra, key):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
+    assert main([command, "--config", cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must ") and err.count("\n") == 1, err
+
+
+def test_an_integral_float_is_an_integer_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **_sphere(dimension=2.0)})
+    assert main(["tension", "--config", cfg, "--point", "0.1,0.2,1,0"]) == 0
 
 
 @pytest.mark.parametrize("kind, dim", [("sphere", 0), ("sphere", -2), ("euclidean", 0)])

@@ -336,3 +336,24 @@ def test_batched_validation_matches_the_sample_loop(seed, size):
         batched = _outcome(fs._validate)
     with np.errstate(all="ignore"):
         assert batched == _outcome(lambda: reference_validate(fs))
+
+
+def test_validation_samples_are_drawn_once_per_box_and_read_only():
+    box = ((0.0, 1.0), (-1.0, 2.0))
+    x, y = fn._validation_samples(box, 2)
+    again = fn._validation_samples(box, 2)
+    assert again[0] is x and again[1] is y
+    # the same seed, loop and order as `reference_validate`
+    rng = np.random.default_rng(20240611)
+    for k in range(64):
+        xk = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        yk = rng.normal(size=2)
+        yk *= rng.uniform(0.5, 2.0) / np.linalg.norm(yk)
+        assert x[:, k].tobytes() == xk.tobytes() and y[:, k].tobytes() == yk.tobytes()
+    for a in (x, y):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    # every structure still runs every check on the shared samples
+    with pytest.raises(ConfigError, match="not positively 1-homogeneous"):
+        S.custom("y1^2 + y2^2", 2, chart=fn.BoxChart(box))
+    S.custom("sqrt(y1^2 + y2^2)", 2, chart=fn.BoxChart(box))

@@ -223,6 +223,13 @@ def test_unrelated_jet_spaces_do_not_combine():
             a * b
 
 
+def test_a_variable_outside_the_space_is_an_error():
+    # the unit multi-index of an absent name would be the zero one: the value row
+    for order in (0, 2):
+        with pytest.raises(ValueError):
+            jt.jet_space(XN, order).variable("t", 0.5)
+
+
 def test_eval_ast_evaluates_a_shared_subtree_once_and_keeps_only_its_value(monkeypatch):
     import collections
 
@@ -250,3 +257,179 @@ def test_eval_ast_evaluates_a_shared_subtree_once_and_keeps_only_its_value(monke
     walk = jt._SingleAst(env, tree)
     assert walk(tree).c.tobytes() == unshared_eval_ast(tree, env).c.tobytes()
     assert walk._memo == {}
+
+
+# --- the dispatch and zero rules against the reference arithmetic ------------------
+
+ZN = ("z_absent", "z_gathered", "z_const", "z_diff", "d_x1")
+
+
+def _zero_env(mode, order, x, y, rng):
+    """Variables x1, x2, y1, y2, four exact zeros and a nonzero derivative.
+
+    The zeros are a `deriv` by an absent name, a `deriv` whose gathered rows
+    are all 0, a zero constant (batch-free or of batch length 5) and x - x (a
+    zero the arithmetic cannot know of); `d_x1` is ∂(x1·x2)/∂x1 = x2. In
+    mode "x" everything is x-only, in "full" everything lives in the (x, y)
+    space, and in "mixed" the x variables and a part of the zeros are x-only."""
+    xs_names = XN if mode == "x" else XY
+    env = _env(xs_names, order, x, None if mode == "x" else y)
+    if mode == "mixed":
+        env.update(_env(XN, order, x))
+    spaces = [env[n].space for n in env]
+    space = spaces[int(rng.integers(len(spaces)))]
+    zero = space.constant(np.zeros((5,) if rng.uniform() < 0.5 else ()))
+    env["z_const"] = zero
+    env["z_absent"] = env["x1"].deriv("t") if order else zero
+    env["z_gathered"] = env["x2"].deriv("x1") if order else zero
+    env["d_x1"] = (env["x1"] * env["x2"]).deriv("x1") if order else env["x2"]
+    v = env[xs_names[int(rng.integers(len(xs_names)))]]
+    env["z_diff"] = v - v
+    return env, xs_names
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 6),
+       mode=st.sampled_from(["x", "full", "mixed"]), xbatch=st.booleans(), ybatch=st.booleans())
+def test_arithmetic_with_exact_zeros_matches_the_reference(seed, order, mode, xbatch, ybatch):
+    from helpers import reference_arithmetic
+
+    rng = np.random.default_rng(seed)
+    x = [rng.uniform(-0.8, 0.8, size=5 if xbatch else None) for _ in XN]
+    y = [rng.uniform(-0.8, 0.8, size=5 if ybatch else None) for _ in XN]
+    env, names = _zero_env(mode, order, x, y, rng)
+    for _ in range(3):
+        node = random_expression(rng, names + ZN)
+        got = jt.eval_ast(node, env)
+        with reference_arithmetic():
+            want = jt.eval_ast(node, env)
+        assert got.space is want.space and got.order == want.order, ex.to_source(node)
+        assert got.c.shape == want.c.shape and np.array_equal(got.c, want.c), ex.to_source(node)
+
+
+def test_the_zero_flag_is_set_only_on_zero_jets_that_stay_unwritten(monkeypatch):
+    made = []
+    init = jt.Jet.__init__
+
+    def recording(self, space, c, order, zero=False):
+        init(self, space, c, order, zero)
+        made.append((self, c.tobytes()))
+
+    monkeypatch.setattr(jt.Jet, "__init__", recording)
+    rng = np.random.default_rng(11)
+    for mode in ("x", "full", "mixed"):
+        for order in (0, 1, 4):
+            x = [rng.uniform(-0.8, 0.8, size=5), rng.uniform(-0.8, 0.8)]
+            env, names = _zero_env(mode, order, x, [rng.uniform(-0.8, 0.8, size=5), 0.5], rng)
+            for _ in range(6):
+                jt.eval_ast(random_expression(rng, names + ZN), env)
+    flagged = [j for j, _ in made if j.zero]
+    assert len(flagged) > 50 and len(made) > 10 * len(flagged)
+    assert not any(j.c.any() for j in flagged)
+    # nothing writes into a jet's coefficients after the jet is made
+    assert all(j.c.tobytes() == c for j, c in made)
+
+
+class _CountingNumpy:
+    """The `numpy` module as `jets` sees it, counting `np.add.reduceat` calls."""
+
+    def __init__(self):
+        self.reduceat = 0
+        counter = self
+
+        class Add:
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def reduceat(self, *args, **kwargs):
+                counter.reduceat += 1
+                return np.add.reduceat(*args, **kwargs)
+
+        self.add = Add()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_a_product_with_a_zero_factor_runs_no_leibniz_kernel(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(jt, "np", counting)
+    xs = _env(XN, 4, [0.3, np.linspace(-0.5, 0.5, 3)])
+    full = _env(XY, 4, [0.3, -0.4], [np.linspace(-0.9, 0.9, 3), 0.6])
+    f = jt.eval_ast(F2, full)
+    s = jt.eval_ast(ex.parse("sin(x1)*x2", XN), xs)
+    zeros = [xs["x1"].deriv("y1"), full["x2"].deriv("t"), f.space.constant(0.0),
+             s.space.constant(np.zeros(3)), -f.space.constant(0.0)]
+    for z in zeros:
+        assert z.zero
+        for a, b in ((z, f), (f, z), (z, s), (s, z), (z, z)):
+            before = counting.reduceat
+            p = a * b
+            assert counting.reduceat == before
+            assert p.zero and not p.c.any() and p.order == min(a.order, b.order)
+            assert p.c.shape[1:] == np.broadcast_shapes(a.c.shape[1:], b.c.shape[1:])
+    before = counting.reduceat
+    f * s
+    assert counting.reduceat == before + 1
+    # the broadcast of a zero product still refuses a batch of another length
+    with pytest.raises(ValueError):
+        zeros[3] * jt.eval_ast(F2, _env(XY, 4, [0.3, -0.4], [np.zeros(7), 0.6]))
+
+
+def test_a_zero_term_is_skipped_only_where_the_other_term_is_the_result():
+    from helpers import reference_arithmetic
+
+    space = jt.jet_space(XN, 3)
+    x1 = space.variable("x1", 0.3)
+    xb = space.variable("x2", np.linspace(-0.5, 0.5, 5))
+    free, batched = space.constant(0.0), space.constant(np.zeros(5))
+    low = x1.deriv("x2")                               # a zero of order 2
+    assert free + x1 is x1 and x1 + free is x1 and x1 - free is x1
+    assert batched + xb is xb and xb - batched is xb and free + xb is xb
+    cases = (lambda: batched + x1, lambda: x1 + batched, lambda: x1 - batched,
+             lambda: free - x1, lambda: low + x1, lambda: x1 - low)
+    with reference_arithmetic():
+        wants = [case() for case in cases]
+    for case, want, shape in zip(cases, wants, ((10, 5), (10, 5), (10, 5), (10,), (6,), (6,))):
+        got = case()
+        assert got.c.shape == want.c.shape == shape and np.array_equal(got.c, want.c)
+    assert (free + free).zero and (batched - free).zero and not (x1 - x1).zero
+
+
+def test_zero_times_non_finite_is_zero_on_the_skipped_path_only():
+    space = jt.jet_space(XN, 3)
+    inf = space.constant(np.inf)
+    nan = space.constant(np.nan)
+    for bad in (inf, nan):
+        for p in (space.constant(0.0) * bad, bad * space.variable("x2", 0.5).deriv("x1")):
+            assert p.zero and np.all(p.c == 0) and not np.signbit(p.c).any()
+    # a number factor runs the scaling, which keeps a zero only for a finite number
+    assert (space.constant(0.0) * 2.0).zero
+    with np.errstate(invalid="ignore"):
+        assert not (space.constant(0.0) * np.inf).zero
+    x1 = space.variable("x1", 2.0)
+    with np.errstate(invalid="ignore"):
+        assert (x1 * inf).value == np.inf and (inf * x1).value == np.inf
+        # a zero the arithmetic does not know of still runs the kernel: 0 × inf is NaN
+        assert np.isnan(((x1 - x1) * inf).value)
+
+
+# --- jets against `evaluate` against `differentiate` -------------------------------
+
+@given(seed=st.integers(0, 2 ** 32 - 1), batched=st.booleans())
+def test_jets_agree_with_evaluate_and_differentiate(seed, batched):
+    rng = np.random.default_rng(seed)
+    point = {n: rng.uniform(-0.8, 0.8, size=4 if batched else None) for n in XN}
+    env = jt.jet_space(XN, 2).point_env(point)
+
+    def close(got, want):
+        got, want = np.broadcast_arrays(np.asarray(got, float), np.asarray(want, float))
+        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    for _ in range(4):
+        node = random_expression(rng, XN)
+        j = jt.eval_ast(node, env)
+        assert close(j.value, ex.evaluate(node, point)), ex.to_source(node)
+        for i, name in enumerate(XN):
+            mu = tuple(int(k == i) for k in range(len(XN)))
+            d = ex.evaluate(ex.differentiate(node, name), point)
+            assert close(j.partial(mu), d), (ex.to_source(node), name)
