@@ -22,9 +22,8 @@ from . import quadrature as q
 from .config import RunConfig
 from .errors import (ChartError, ConfigError, DomainEvalError, ExpressionError,
                      OrderLimitError, QuadratureError, SingularMetricError)
-from .finsler import DomainGeometry, PointState, _values
-from .identity import (IdentityGeometry, condition35_residual, identity_tension,
-                       linearized_scaling)
+from .finsler import ORDER_TABLE, DomainGeometry, PointState, _values, order_for
+from .identity import IdentityGeometry, identity_tension, linearized_scaling
 from .maps import MapGeometry, PullbackSection
 from .report import FAIL, INFO, PASS, Report, config_hash
 
@@ -62,9 +61,8 @@ def cmd_geom(cfg: RunConfig, rep: Report, args):
     else:
         x, y = cfg.sample_points(1)[0]
     p = PointState(x, y)
-    md = fi.metric(fs, p)
-    cd = fi.connection(fs, p)
-    cv = fi.curvature(fs, p)
+    geom = DomainGeometry(fs, p.x, p.y, order_for("metric", "connection", "curvature"))
+    md, cd, cv = fi._metric_data(geom), fi._connection_data(geom), fi._curvature_data(geom)
     rep.add("point", INFO, detail=f"x={_fmt(x)} y={_fmt(y)}")
     rep.add("metric.g", INFO, detail=_fmt(md.g))
     rep.add("metric.ginv", INFO, detail=_fmt(md.ginv))
@@ -87,7 +85,7 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
         points = [_parse_point(args.point, cfg.dimension)]
     else:
         points = cfg.sample_points(10)
-    order = 6 if with_bitension else 4
+    order = ORDER_TABLE["bitension" if with_bitension else "tension"]
     tau_max = 0.0
     tau2_max = 0.0
     for x, y in points:
@@ -130,7 +128,7 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
     worst = {"euler": 0.0, "delta_f2": 0.0, "h_metricity": 0.0, "bracket": 0.0}
     n = fs.dim
     for x, y in cfg.sample_points(20):
-        geom = DomainGeometry(fs, x, y, 5)
+        geom = DomainGeometry(fs, x, y, ORDER_TABLE["invariants"])
         f2 = float(_values(geom.f2))
         gyy = float(_values(jt.sum_terms(
             [geom.g[i][j] * geom.env[fs.ynames[i]] * geom.env[fs.ynames[j]]
@@ -165,7 +163,7 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
         map = cfg.smooth_map()
         worst_tau = 0.0
         for x, y in cfg.sample_points(20):
-            mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 4))
+            mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["invariants"]))
             tau = _values(mg.tension)
             gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
             worst_tau = max(worst_tau, gap / max(1.0, float(np.max(np.abs(tau)))))
@@ -174,7 +172,7 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
         setup = cfg.perturbation()
         worst33 = worst_split = 0.0
         for x, y in cfg.sample_points(20):
-            ig = IdentityGeometry(setup, x, y, 4)
+            ig = IdentityGeometry(setup, x, y, ORDER_TABLE["invariants"])
             worst33 = max(worst33, float(np.max(np.abs(ig.eq33_residual()))))
             worst_split = max(worst_split,
                               float(np.max(np.abs(ig.spray_split_residual()))))
@@ -188,7 +186,7 @@ def _suite_weitzenbock(cfg: RunConfig, rep: Report, args):
     worst = 0.0
     scale = 1.0
     for x, y in cfg.sample_points(20):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6))
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["weitzenbock"]))
         resid = float(np.max(np.abs(np.asarray(mg.weitzenbock_residual()))))
         scale = max(scale, abs(float(_values(mg.inner(mg.tension, mg.tension)))))
         worst = max(worst, resid)
@@ -249,12 +247,11 @@ def _suite_identity(cfg: RunConfig, rep: Report, args):
     worst = {"route_b_vs_conn": 0.0, "route_b_vs_general": 0.0,
              "adapted_derivative_of_f2": 0.0, "tension_derivative": 0.0,
              "spray_split": 0.0}
-    points = cfg.sample_points(10)
-    reports = []
-    for x, y in points:
-        ig = IdentityGeometry(setup, x, y, 6)
+    worst35 = worst_pred = 0.0
+    order = order_for("identity_tension", "identity_residuals", "condition35")
+    for x, y in cfg.sample_points(10):
+        ig = IdentityGeometry(setup, x, y, order)
         itr = ig.tension_report()
-        reports.append(itr)
         worst["route_b_vs_conn"] = max(worst["route_b_vs_conn"], itr.discrepancy_b_conn)
         worst["route_b_vs_general"] = max(worst["route_b_vs_general"],
                                           itr.discrepancy_b_general)
@@ -264,16 +261,13 @@ def _suite_identity(cfg: RunConfig, rep: Report, args):
             worst["tension_derivative"], float(np.max(np.abs(ig.eq34_residual()))))
         worst["spray_split"] = max(worst["spray_split"],
                                    float(np.max(np.abs(ig.spray_split_residual()))))
+        if setup.a_asts is not None:
+            residual, tau_pred = ig.condition35_residual()
+            worst35 = max(worst35, float(np.max(np.abs(residual))))
+            worst_pred = max(worst_pred, float(np.max(np.abs(itr.tau_route_b - tau_pred))))
     for name, value in worst.items():
         rep.check(name, value, tol)
     if setup.a_asts is not None:
-        worst35 = 0.0
-        worst_pred = 0.0
-        for (x, y), itr in zip(points, reports):
-            residual, tau_pred = condition35_residual(setup, PointState(x, y))
-            worst35 = max(worst35, float(np.max(np.abs(residual))))
-            worst_pred = max(worst_pred,
-                             float(np.max(np.abs(itr.tau_route_b - tau_pred))))
         rep.check("proportionality_residual", worst35, tol)
         rep.check("predicted_tension_gap", worst_pred, tol)
     sc = linearized_scaling(setup, c_grid=cfg.c_grid())

@@ -4,8 +4,10 @@ Everything downstream of the fundamental function — metric tensor, geodesic
 spray, nonlinear connection, adapted (horizontal) derivatives, Chern–Rund
 symbols, torsion trace, curvatures, divergence, horizontal Laplacian — is
 obtained by evaluating one jet of F² at the working point and differentiating
-it symbolically inside the jet algebra.  No numeric differencing is involved;
-the jet order used per quantity is listed in ORDER_TABLE.
+it symbolically inside the jet algebra.  No numeric differencing is involved.
+ORDER_TABLE holds the jet order each read needs and is the only place the
+engine states one; a geometry that serves several reads is built once, at
+the largest of their orders (`order_for`).
 
 Conventions (indices are 0-based in code):
     g_ij      = ½ ∂²F²/∂y^i∂y^j
@@ -32,17 +34,27 @@ from . import jets as jt
 from .errors import ChartError, ConfigError, DomainEvalError, SingularMetricError
 from .riemann import determinant, invert_matrix
 
-# Jet order of F² required so the listed quantity still has a trustworthy
-# value (order-0 coefficient) after all the derivatives taken on the way.
+# The jet order of F² each read needs: the least order at which its value
+# survives every derivative taken on the way (one lower raises OrderLimitError).
+# A higher order gives the same values, up to the sign of a zero: a Taylor
+# coefficient of degree d depends only on input coefficients of degree <= d.
 ORDER_TABLE = {
-    "metric": 2,
-    "spray": 3,
-    "connection": 4,
-    "curvature": 5,
-    "laplacian": 6,
-    "bitension": 6,
-    "hessian": 8,
+    # F², g, g⁻¹, det g; the spray G^i and the identity analysis' B^i
+    "metric": 2, "energy_density": 2, "spray": 2, "condition35": 2,
+    "delta": 3,                 # one δ_i of a field, or D_{δ_i} of a section
+    "connection": 4, "curvature": 4, "tension": 4, "laplacian": 4, "divergence": 4,
+    "identity_tension": 4, "invariants": 4,
+    "jacobi": 4,                # Δ^{dφ}S and JS of an expression section S
+    "identity_residuals": 5,    # eqs. 33, 34 and the spray split of `check identity`
+    # τ₂, also Δ^{dφ}S and JS of a callable section such as τ
+    "bitension": 6, "weitzenbock": 6, "hessian": 6,
 }
+
+
+def order_for(*reads: str) -> int:
+    """The jet order of one geometry that serves all of `reads`."""
+    return max(ORDER_TABLE[r] for r in reads)
+
 
 DEFAULT_R_MIN = 1e-6
 _COND_LIMIT = 1e12
@@ -115,8 +127,7 @@ class FinslerStructure:
     `_validate`).
     """
 
-    def __init__(self, dim: int, f2_ast, chart=None, label: str = "custom",
-                 base_matrix_asts=None, b_ast=None):
+    def __init__(self, dim: int, f2_ast, chart=None, label: str = "custom", b_ast=None):
         if dim < 2:
             raise ConfigError("domain dimension must be >= 2")
         self.dim = dim
@@ -127,9 +138,6 @@ class FinslerStructure:
         self.xnames = tuple(f"x{i + 1}" for i in range(dim))
         self.ynames = tuple(f"y{i + 1}" for i in range(dim))
         self.f2_ast = f2_ast
-        # retained for the Riemannian / perturbed families (identity-map
-        # analysis and classical reduction oracles need the base metric)
-        self.base_matrix_asts = base_matrix_asts
         self.b_ast = b_ast
         extra = ex.free_vars(f2_ast) - set(self.xnames) - set(self.ynames)
         if extra:
@@ -142,8 +150,7 @@ class FinslerStructure:
     def euclidean(cls, dim: int, chart=None) -> "FinslerStructure":
         terms = " + ".join(f"y{i + 1}^2" for i in range(dim))
         ast = ex.parse(terms, [f"y{i + 1}" for i in range(dim)])
-        eye = [[ex.Const(1.0 if i == j else 0.0) for j in range(dim)] for i in range(dim)]
-        return cls(dim, ast, chart, label="euclidean", base_matrix_asts=eye)
+        return cls(dim, ast, chart, label="euclidean")
 
     @classmethod
     def riemannian(cls, matrix_sources, dim: int, chart=None) -> "FinslerStructure":
@@ -151,7 +158,7 @@ class FinslerStructure:
         mat = [[entry if isinstance(entry, ex.Node) else ex.parse(entry, coords)
                 for entry in row] for row in matrix_sources]
         f2 = _quadratic_form_ast(mat, dim)
-        return cls(dim, f2, chart, label="riemannian", base_matrix_asts=mat)
+        return cls(dim, f2, chart, label="riemannian")
 
     @classmethod
     def randers(cls, alpha_sources, beta_sources, dim: int, chart=None) -> "FinslerStructure":
@@ -183,7 +190,7 @@ class FinslerStructure:
         else:
             b_scaled = b
         f2 = ex.BinOp("+", _quadratic_form_ast(mat, dim), b_scaled)
-        return cls(dim, f2, chart, label="perturbed", base_matrix_asts=mat, b_ast=b_scaled)
+        return cls(dim, f2, chart, label="perturbed", b_ast=b_scaled)
 
     @classmethod
     def custom(cls, f_source, dim: int, chart=None) -> "FinslerStructure":
@@ -240,7 +247,7 @@ class FinslerStructure:
                       np.any([abs(np.sqrt(at(self.f2_ast, lam * y)) - lam * f) > 1e-10 * lam * f
                               for lam in lams], axis=0)]
             # g_ij from one order-2 jet of F² in y, each x entering as a constant
-            space = jt.jet_space(self.ynames, 2)
+            space = jt.jet_space(self.ynames, ORDER_TABLE["metric"])
             env = {name: space.constant(xi) for name, xi in zip(self.xnames, x)}
             env.update(space.point_env(dict(zip(self.ynames, y))))
             f2_jet, e = jt.eval_ast(self.f2_ast, env), np.eye(n, dtype=int)
@@ -531,37 +538,38 @@ class CurvatureData:
     hv: np.ndarray          # P_j{}^i{}_{kl} = Γ^i_{jk·l}
 
 
-def metric(fs: FinslerStructure, p: PointState) -> MetricData:
-    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["metric"])
+def _metric_data(geom: DomainGeometry) -> MetricData:
     g = _values(geom.g)
     ginv = _values(geom.ginv)
-    if np.max(np.abs(g @ ginv - np.eye(fs.dim))) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+    if np.max(np.abs(g @ ginv - np.eye(geom.n))) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularMetricError("metric inverse failed its identity check")
     f2 = float(geom.f2.value)
-    quad = float(p.y @ g @ p.y)
+    quad = float(geom.y @ g @ geom.y)
     if abs(quad - f2) > 1e-10 * max(abs(f2), 1e-30):
         raise DomainEvalError("Euler identity g_ij y^i y^j = F^2 violated "
                               "(F is not 1-homogeneous at this point)")
-    return MetricData(g=g, ginv=ginv, detg=float(_values(geom.detg)),
-                      y_low=g @ p.y, f2=f2)
+    return MetricData(g=g, ginv=ginv, detg=float(_values(geom.detg)), y_low=g @ geom.y, f2=f2)
+
+
+def _connection_data(geom: DomainGeometry) -> ConnectionData:
+    return ConnectionData(*map(_values, (geom.spray, geom.Gj, geom.gamma, geom.Gjk, geom.P,
+                                         geom.P_i, geom.Rjk)))
+
+
+def _curvature_data(geom: DomainGeometry) -> CurvatureData:
+    return CurvatureData(hh=_values(geom.hh_curvature), hv=_values(geom.hv_curvature))
+
+
+def metric(fs: FinslerStructure, p: PointState) -> MetricData:
+    return _metric_data(DomainGeometry(fs, p.x, p.y, ORDER_TABLE["metric"]))
 
 
 def connection(fs: FinslerStructure, p: PointState) -> ConnectionData:
-    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["connection"])
-    return ConnectionData(
-        spray=_values(geom.spray),
-        nonlinear=_values(geom.Gj),
-        chern_rund=_values(geom.gamma),
-        berwald=_values(geom.Gjk),
-        torsion=_values(geom.P),
-        torsion_trace=_values(geom.P_i),
-        bracket=_values(geom.Rjk),
-    )
+    return _connection_data(DomainGeometry(fs, p.x, p.y, ORDER_TABLE["connection"]))
 
 
 def curvature(fs: FinslerStructure, p: PointState) -> CurvatureData:
-    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["curvature"])
-    return CurvatureData(hh=_values(geom.hh_curvature), hv=_values(geom.hv_curvature))
+    return _curvature_data(DomainGeometry(fs, p.x, p.y, ORDER_TABLE["curvature"]))
 
 
 def _field_jet(fs, field, geom):
@@ -573,13 +581,13 @@ def _field_jet(fs, field, geom):
 
 
 def delta_derivative(fs: FinslerStructure, field, p: PointState, i: int):
-    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["connection"])
+    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["delta"])
     return float(geom.delta(_field_jet(fs, field, geom), i).value)
 
 
 def divergence(fs: FinslerStructure, X, p: PointState):
     """X is a list of n component fields (sources, ASTs, or jet-callables)."""
-    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["connection"])
+    geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["divergence"])
     jets = [_field_jet(fs, comp, geom) for comp in X]
     return float(geom.divergence_of(jets).value)
 
@@ -592,8 +600,7 @@ def horizontal_laplacian(fs: FinslerStructure, f, p: PointState):
 # --- geodesics and arc length ------------------------------------------------------
 
 def spray_value(fs: FinslerStructure, x, y) -> np.ndarray:
-    geom = DomainGeometry(fs, x, y, ORDER_TABLE["spray"])
-    return _values(geom.spray)
+    return _values(DomainGeometry(fs, x, y, ORDER_TABLE["spray"]).spray)
 
 
 def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,

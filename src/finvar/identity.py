@@ -31,7 +31,7 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, DomainEvalError
-from .finsler import DomainGeometry, FinslerStructure, PointState, _values
+from .finsler import ORDER_TABLE, DomainGeometry, FinslerStructure, PointState, _values
 from .maps import MapGeometry, SmoothMap
 from .riemann import RiemannStructure
 
@@ -63,14 +63,8 @@ class PerturbationSetup:
                            for e in a_sources]
 
     def with_scale(self, scale: float) -> "PerturbationSetup":
-        out = PerturbationSetup.__new__(PerturbationSetup)
-        out.dim = self.dim
-        out.chart = self.chart
-        out.scale = float(scale)
-        out.base_asts = self.base_asts
-        out.b_ast = self.b_ast
-        out.a_asts = self.a_asts
-        return out
+        return PerturbationSetup(self.base_asts, self.b_ast, self.dim, self.chart, self.a_asts,
+                                 scale)
 
     @cached_property
     def finsler(self) -> FinslerStructure:
@@ -210,6 +204,16 @@ class IdentityGeometry:
                 out[i, j] = np.asarray((lhs - (bar - corr)).value)
         return out
 
+    def condition35_residual(self):
+        """residual_h = F²_{||h} − ⟨a, y⟩_g y_h and the predicted τ = −(n/2) a."""
+        a = self.setup.a_values(self.geom.x)
+        n, ynames = self.n, self.fs.ynames
+        ay = jt.sum_terms([self.geom.g[i][j] * float(a[i]) * self.geom.env[ynames[j]]
+                           for i in range(n) for j in range(n)])
+        residual = np.array([np.asarray((self.f2_bar[h] - ay * self.y_low[h]).value)
+                             for h in range(n)])
+        return residual, -0.5 * n * a
+
     def tension_report(self) -> "IdentityTensionReport":
         """τ(id) by the three routes and their pairwise discrepancies."""
         tau_b = _values(self.tau_route_b)
@@ -238,25 +242,16 @@ class IdentityTensionReport:
 
 
 def b_field(setup: PerturbationSetup, p: PointState) -> np.ndarray:
-    ig = IdentityGeometry(setup, p.x, p.y, 4)
-    return _values(ig.B)
+    return _values(IdentityGeometry(setup, p.x, p.y, ORDER_TABLE["spray"]).B)
 
 
 def identity_tension(setup: PerturbationSetup, p: PointState) -> IdentityTensionReport:
-    return IdentityGeometry(setup, p.x, p.y, 6).tension_report()
+    return IdentityGeometry(setup, p.x, p.y, ORDER_TABLE["identity_tension"]).tension_report()
 
 
 def condition35_residual(setup: PerturbationSetup, p: PointState):
     """residual_h = F²_{||h} − ⟨a, y⟩_g y_h and the predicted τ = −(n/2) a."""
-    ig = IdentityGeometry(setup, p.x, p.y, 3)
-    a = setup.a_values(p.x)
-    n = setup.dim
-    ay = jt.sum_terms([ig.geom.g[i][j] * float(a[i]) * ig.geom.env[ig.fs.ynames[j]]
-                       for i in range(n) for j in range(n)])
-    residual = np.array([np.asarray((ig.f2_bar[h] - ay * ig.y_low[h]).value)
-                         for h in range(n)])
-    tau_predicted = -0.5 * n * a
-    return residual, tau_predicted
+    return IdentityGeometry(setup, p.x, p.y, ORDER_TABLE["condition35"]).condition35_residual()
 
 
 @dataclass
@@ -290,7 +285,7 @@ def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8)
         t_max = 0.0
         t2_max = 0.0
         for x, y in pts:
-            mg = MapGeometry(idmap, DomainGeometry(idmap.fs, x, y, 6))
+            mg = MapGeometry(idmap, DomainGeometry(idmap.fs, x, y, ORDER_TABLE["bitension"]))
             t_max = max(t_max, float(np.max(np.abs(_values(mg.tension)))))
             t2_max = max(t2_max, float(np.max(np.abs(_values(mg.bitension)))))
         tau_sup[ci] = t_max

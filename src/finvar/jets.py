@@ -55,7 +55,7 @@ import numpy as np
 from . import expressions as ex
 from .errors import DomainEvalError, OrderLimitError
 
-K_MAX = 8  # bitension needs order-6 mixed partials of F^2, the bienergy Hessian order-8
+K_MAX = 8  # τ₂ and the Hessian integrand need order 6 (finsler.ORDER_TABLE); tests use 8
 
 
 # --- jet space: multi-index tables, cached per (variables, order) -------------

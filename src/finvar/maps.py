@@ -108,7 +108,10 @@ class PullbackSection:
     """Section of the pullback bundle: component evaluators S^α(x, y).
 
     Components may be expression sources/ASTs in (x, y) or callables taking a
-    MapGeometry and returning a jet.
+    MapGeometry and returning a jet. A callable is evaluated on the
+    operation's own geometry, whose jet order is the one `ORDER_TABLE` gives
+    that operation, so what it reads must fit within that order: τ as a
+    section of `rough_laplacian` fits, τ₂ does not.
     """
 
     def __init__(self, components):
@@ -356,9 +359,9 @@ class MapGeometry:
 
 # --- public operations -------------------------------------------------------------------
 
-def _at(map: SmoothMap, p: PointState, quantity: str) -> MapGeometry:
-    """Map geometry at one point, at the jet order ORDER_TABLE gives `quantity`."""
-    return MapGeometry(map, DomainGeometry(map.fs, p.x, p.y, ORDER_TABLE[quantity]))
+def _at(map: SmoothMap, p: PointState, read: str) -> MapGeometry:
+    """Map geometry at one point, at the jet order ORDER_TABLE gives `read`."""
+    return MapGeometry(map, DomainGeometry(map.fs, p.x, p.y, ORDER_TABLE[read]))
 
 
 def differential(map: SmoothMap, x) -> np.ndarray:
@@ -371,7 +374,7 @@ def differential(map: SmoothMap, x) -> np.ndarray:
 
 
 def tension(map: SmoothMap, p: PointState) -> TensionReport:
-    mg = _at(map, p, "connection")
+    mg = _at(map, p, "tension")
     tau = _values(mg.tension)
     norm = np.sqrt(np.maximum(_values(mg.inner(mg.tension, mg.tension)), 0.0))
     return TensionReport(tau=tau, tau_norm=norm,
@@ -379,17 +382,17 @@ def tension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def pullback_cov_deriv(map: SmoothMap, S: PullbackSection, i: int, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "connection")
+    mg = _at(map, p, "delta")
     return _values(mg.cov_deriv(S.jets(mg), i))
 
 
 def rough_laplacian(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "laplacian")
+    mg = _at(map, p, "bitension")
     return _values(mg.rough_laplacian(S.jets(mg)))
 
 
 def jacobi_apply(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarray:
-    mg = _at(map, p, "laplacian")
+    mg = _at(map, p, "bitension")
     return _values(mg.jacobi(S.jets(mg)))
 
 
@@ -406,8 +409,7 @@ def bitension(map: SmoothMap, p: PointState) -> TensionReport:
 
 
 def weitzenbock_residual(map: SmoothMap, p: PointState) -> float:
-    mg = _at(map, p, "bitension")
-    return float(mg.weitzenbock_residual())
+    return float(_at(map, p, "weitzenbock").weitzenbock_residual())
 
 
 def hessian_integrand(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
@@ -417,5 +419,4 @@ def hessian_integrand(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
 
 
 def energy_density(map: SmoothMap, p: PointState) -> float:
-    mg = _at(map, p, "metric")
-    return float(_values(mg.energy_density))
+    return float(_values(_at(map, p, "energy_density").energy_density))

@@ -35,8 +35,8 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, QuadratureError
-from .finsler import (BoxChart, DomainGeometry, FinslerStructure, TorusChart,
-                      _values)
+from .finsler import (ORDER_TABLE, BoxChart, DomainGeometry, FinslerStructure, TorusChart,
+                      _values, order_for)
 from .maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 
 
@@ -199,7 +199,7 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
                                    y.shape[1:]).copy()
 
     def node_rows(x, y):
-        geom = DomainGeometry(fs, x, y, 2, r_min=0.0)
+        geom = DomainGeometry(fs, x, y, ORDER_TABLE["metric"], r_min=0.0)
         return [np.asarray(fn(x, y)) * _values(geom.detg)]
 
     return _assemble(node_rows, fs, spec,
@@ -318,9 +318,8 @@ def _map_hash(map: SmoothMap) -> str:
                     [ex.to_source(c) for c in map.components])
 
 
-def _bienergy_rows(maps, fs: FinslerStructure, x, y):
-    """½⟨τ, τ⟩ det g of each map, over one shared order-4 domain geometry."""
-    geom = DomainGeometry(fs, x, y, 4)
+def _bienergy_rows(maps, geom: DomainGeometry):
+    """½⟨τ, τ⟩ det g of each map, over one shared domain geometry."""
     det = _values(geom.detg)
     rows = []
     for m in maps:
@@ -329,10 +328,10 @@ def _bienergy_rows(maps, fs: FinslerStructure, x, y):
     return rows
 
 
-def _hessian_rows(map: SmoothMap, pairs, x, y):
-    """H(V, W) integrand·det g of each (V, W) pair, over one order-8 map geometry."""
-    mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 8))
-    det = _values(mg.geom.detg)
+def _hessian_rows(map: SmoothMap, pairs, geom: DomainGeometry):
+    """H(V, W) integrand·det g of each (V, W) pair, over `map` on `geom`."""
+    mg = MapGeometry(map, geom)
+    det = _values(geom.detg)
     return [np.asarray(mg.hessian_integrand(V.jets(mg), W.jets(mg))) * det for V, W in pairs]
 
 
@@ -340,7 +339,7 @@ def energy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
     """E(φ) = ∫_{BM} e(φ), e = ½ g^{ij} g̃_{αβ}(φ) φ^α_{,i} φ^β_{,j}."""
 
     def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 2))
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["energy_density"]))
         return [_values(mg.energy_density) * _values(mg.geom.detg)]
 
     return _assemble(node_rows, map.fs, spec, structure_hash=_map_hash(map))[0]
@@ -348,8 +347,9 @@ def energy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
 
 def bienergy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
     """E₂(φ) = ½ ∫_{BM} ⟨τ, τ⟩."""
-    return _assemble(lambda x, y: _bienergy_rows([map], map.fs, x, y), map.fs, spec,
-                     structure_hash=_map_hash(map))[0]
+    return _assemble(
+        lambda x, y: _bienergy_rows([map], DomainGeometry(map.fs, x, y, ORDER_TABLE["tension"])),
+        map.fs, spec, structure_hash=_map_hash(map))[0]
 
 
 # --- variational checks -----------------------------------------------------------
@@ -365,20 +365,21 @@ class VariationCheck:
 
 def first_variation_check(family: VariationFamily, spec: QuadratureSpec,
                           h: float = 1e-3, richardson: bool = False) -> VariationCheck:
-    """dE₂/dε|₀ by central differences against ∫⟨τ₂, V⟩, in one pass: the
-    E₂ rows at ±h (and ±h/2) and the ⟨τ₂, V⟩ row share each node's samples."""
+    """dE₂/dε|₀ by central differences against ∫⟨τ₂, V⟩, in one pass: the E₂
+    rows at ±h (and ±h/2) and the ⟨τ₂, V⟩ row share each node's samples and geometry."""
     base = family.base
     steps = (h, h / 2) if richardson else (h,)
     maps = [family.map_at(eps) for step in steps for eps in (step, -step)]
     v_asts = family.deviation_field(1)
 
-    def tau2_v_row(x, y):
-        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6))
-        V = [jt.eval_ast(a, mg.geom.env) for a in v_asts]
-        return _values(mg.inner(mg.bitension, V)) * _values(mg.geom.detg)
+    def node_rows(x, y):
+        geom = DomainGeometry(base.fs, x, y, order_for("tension", "bitension"))
+        mg = MapGeometry(base, geom)
+        V = [jt.eval_ast(a, geom.env) for a in v_asts]
+        return [*_bienergy_rows(maps, geom),
+                _values(mg.inner(mg.bitension, V)) * _values(geom.detg)]
 
-    *e2, est = _assemble(lambda x, y: [*_bienergy_rows(maps, base.fs, x, y), tau2_v_row(x, y)],
-                         base.fs, spec, structure_hash=_map_hash(base))
+    *e2, est = _assemble(node_rows, base.fs, spec, structure_hash=_map_hash(base))
     central = [(e2[2 * k].value - e2[2 * k + 1].value) / (2 * step)
                for k, step in enumerate(steps)]
     fd = central[0]
@@ -397,7 +398,7 @@ def self_adjointness_check(map: SmoothMap, X: PullbackSection, Y: PullbackSectio
     """
 
     def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, 6))
+        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["jacobi"]))
         Xj, Yj = X.jets(mg), Y.jets(mg)
         LX, LY = mg.rough_laplacian(Xj), mg.rough_laplacian(Yj)
         JX, JY = mg.jacobi(Xj), mg.jacobi(Yj)
@@ -420,15 +421,16 @@ def self_adjointness_check(map: SmoothMap, X: PullbackSection, Y: PullbackSectio
 def hessian_form(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
                  spec: QuadratureSpec) -> FunctionalEstimate:
     """H(V₁, V₂) = ∫_{BM} hessian integrand."""
-    return _assemble(lambda x, y: _hessian_rows(map, [(V1, V2)], x, y), map.fs, spec,
-                     structure_hash=_map_hash(map))[0]
+    return _assemble(lambda x, y: _hessian_rows(
+        map, [(V1, V2)], DomainGeometry(map.fs, x, y, ORDER_TABLE["hessian"])),
+        map.fs, spec, structure_hash=_map_hash(map))[0]
 
 
 def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
                            h: float = 1e-3) -> VariationCheck:
     """∂²E₂/∂ε₁∂ε₂ by the 4-corner mixed central difference against the
-    integrated Hessian form; also reports the H(V₁,V₂) − H(V₂,V₁) gap. One
-    pass: the four E₂ corners and both Hessian rows share each node's samples."""
+    integrated Hessian form; also reports the H(V₁,V₂) − H(V₂,V₁) gap. One pass: the
+    four E₂ corners and both Hessian rows share each node's samples and geometry."""
     base = family.base
     # prerequisite: base map numerically biharmonic at sample points
     rng = np.random.default_rng(99)
@@ -437,7 +439,7 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
         y = rng.normal(size=base.fs.dim)
         y /= np.linalg.norm(y)
-        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, 6))
+        mg = MapGeometry(base, DomainGeometry(base.fs, x, y, ORDER_TABLE["bitension"]))
         t2 = float(np.max(np.abs(_values(mg.bitension))))
         if t2 > 1e-6:
             raise ConfigError(f"base map is not biharmonic at tolerance: |tau2| = {t2:.3e}")
@@ -445,10 +447,14 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
     corners = [family.map_at(e1, e2) for e1, e2 in ((h, h), (h, -h), (-h, h), (-h, -h))]
     V1 = PullbackSection(family.deviation_field(1))
     V2 = PullbackSection(family.deviation_field(2))
-    pp, pm, mp, mm, h12, h21 = _assemble(
-        lambda x, y: [*_bienergy_rows(corners, base.fs, x, y),
-                      *_hessian_rows(base, [(V1, V2), (V2, V1)], x, y)],
-        base.fs, spec, structure_hash=_map_hash(base))
+
+    def node_rows(x, y):
+        geom = DomainGeometry(base.fs, x, y, order_for("tension", "hessian"))
+        return [*_bienergy_rows(corners, geom),
+                *_hessian_rows(base, [(V1, V2), (V2, V1)], geom)]
+
+    pp, pm, mp, mm, h12, h21 = _assemble(node_rows, base.fs, spec,
+                                         structure_hash=_map_hash(base))
     fd = (pp.value - pm.value - mp.value + mm.value) / (4 * h * h)
     return VariationCheck(fd=fd, analytic=h12.value, gap=abs(fd - h12.value),
                           stderr=h12.stderr,
@@ -458,23 +464,20 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
 
 def divergence_theorem_check(fs: FinslerStructure, X, spec: QuadratureSpec,
                              f=None) -> dict:
-    """∫_{BM} div X (and optionally ∫ Δf), both expected to vanish."""
+    """∫_{BM} div X (and optionally ∫ Δf) on one geometry per node; both should vanish."""
     names = list(fs.xnames) + list(fs.ynames)
     X_asts = [c if isinstance(c, ex.Node) else ex.parse(c, names) for c in X]
     f_ast = f if f is None or isinstance(f, ex.Node) else ex.parse(f, names)
 
-    def div_row(x, y):
-        geom = DomainGeometry(fs, x, y, 5)
-        jets = [jt.eval_ast(a, geom.env) for a in X_asts]
-        return np.asarray(_values(geom.divergence_of(jets))) * _values(geom.detg)
+    def node_rows(x, y):
+        geom = DomainGeometry(fs, x, y, order_for("divergence", "laplacian"))
+        det = _values(geom.detg)
+        rows = [_values(geom.divergence_of([jt.eval_ast(a, geom.env) for a in X_asts])) * det]
+        if f_ast is not None:
+            rows.append(_values(geom.horizontal_laplacian_of(jt.eval_ast(f_ast, geom.env))) * det)
+        return rows
 
-    def lap_row(x, y):
-        geom = DomainGeometry(fs, x, y, 6)
-        return np.asarray(_values(geom.horizontal_laplacian_of(jt.eval_ast(f_ast, geom.env)))) \
-            * _values(geom.detg)
-
-    rows = [div_row] if f_ast is None else [div_row, lap_row]
-    ests = _assemble(lambda x, y: [row(x, y) for row in rows], fs, spec)
+    ests = _assemble(node_rows, fs, spec)
     out = {"divergence_integral": ests[0].value, "divergence_stderr": ests[0].stderr}
     if f_ast is not None:
         out.update({"laplacian_integral": ests[1].value,
