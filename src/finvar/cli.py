@@ -11,6 +11,7 @@ import argparse
 import functools
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -51,6 +52,14 @@ def _parse_point(text: str, dim: int):
     return np.array(vals[:dim]), np.array(vals[dim:])
 
 
+def _finite(what: str, x, y, *values):
+    """Raise DomainEvalError unless every entry of `values`, the numbers a
+    report shows for the point (x, y), is finite."""
+    for v in values:
+        if not np.all(np.isfinite(v)):
+            raise DomainEvalError(f"non-finite {what} at x={_fmt(x)} y={_fmt(y)}")
+
+
 # --- commands -------------------------------------------------------------------
 
 
@@ -63,6 +72,8 @@ def cmd_geom(cfg: RunConfig, rep: Report, args):
     p = PointState(x, y)
     geom = DomainGeometry(fs, p.x, p.y, order_for("metric", "connection", "curvature"))
     md, cd, cv = fi._metric_data(geom), fi._connection_data(geom), fi._curvature_data(geom)
+    _finite("geometry", x, y, md.g, md.ginv, md.detg, md.y_low,
+            *vars(cd).values(), *vars(cv).values())
     rep.add("point", INFO, detail=f"x={_fmt(x)} y={_fmt(y)}")
     rep.add("metric.g", INFO, detail=_fmt(md.g))
     rep.add("metric.ginv", INFO, detail=_fmt(md.ginv))
@@ -91,12 +102,16 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
     for x, y in points:
         mg = MapGeometry(map, DomainGeometry(map.fs, x, y, order))
         tau = _values(mg.tension)
-        norm = float(np.sqrt(max(0.0, float(_values(mg.inner(mg.tension, mg.tension))))))
+        sq = float(_values(mg.inner(mg.tension, mg.tension)))
+        _finite("tension", x, y, tau, sq)
+        norm = float(np.sqrt(max(0.0, sq)))
         tau_max = max(tau_max, norm)
         detail = f"x={_fmt(x)} y={_fmt(y)} tau={_fmt(tau)}"
         if with_bitension:
             tau2 = _values(mg.bitension)
-            n2 = float(np.sqrt(max(0.0, float(_values(mg.inner(mg.bitension, mg.bitension))))))
+            sq2 = float(_values(mg.inner(mg.bitension, mg.bitension)))
+            _finite("bitension", x, y, tau2, sq2)
+            n2 = float(np.sqrt(max(0.0, sq2)))
             tau2_max = max(tau2_max, n2)
             detail += f" tau2={_fmt(tau2)}"
         rep.add("sample", INFO, value=norm, detail=detail)
@@ -371,8 +386,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rep = run(args)
-        text = rep.render(args.format)
+        # a non-finite number raises where it is reported; NumPy's warnings
+        # on the way there would only add lines to stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = run(args)
+            text = rep.render(args.format)
     except (ConfigError, ExpressionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

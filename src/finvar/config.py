@@ -221,8 +221,13 @@ class RunConfig:
         if kind == "euclidean":
             return RiemannStructure.euclidean(dim)
         if kind == "sphere":
-            radius = _number(block.get("radius", 1.0), float, "codomain.radius")
-            return RiemannStructure.sphere(dim, _positive(radius, "codomain.radius"))
+            radius = _positive(_number(block.get("radius", 1.0), float, "codomain.radius"),
+                               "codomain.radius")
+            rho4 = (radius * radius) * (radius * radius)   # written into the metric's source
+            if not (math.isfinite(rho4) and rho4 > 0):
+                raise ConfigError(f"codomain.radius must have a finite, nonzero 4th power, "
+                                  f"got {radius!r}")
+            return RiemannStructure.sphere(dim, radius)
         if kind == "custom":
             if "matrix" not in block:
                 raise ConfigError("codomain: 'custom' requires 'matrix'")

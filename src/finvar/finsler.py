@@ -315,12 +315,14 @@ class DomainGeometry:
     the numbers.
 
     `env` binds each x name to a variable of the x-only jet space and each y
-    name to a variable of the full (x, y) space, both of order `order`. So
-    every x-only quantity built from `env` (the x-only parts of F², a map φ
-    and the codomain pulled back through it, x-only fields) stays in the
-    small space, and enters the full space only where it meets a
-    y-dependent jet (see `jets`). Read an x-only jet's `partial` with a
-    multi-index over the x names alone.
+    name to a variable of the y-only space, both of order `order`. So every
+    quantity built from `env` stays in the space of the variables it depends
+    on: the x-only parts of F², a map φ, the codomain pulled back through it
+    and x-only fields in the x-only space; the y-only parts of F² (α² and √α²
+    of a Randers metric with constant α, all of a Euclidean F²) in the y-only
+    one. The (x, y) space appears only where an x-dependent jet meets a
+    y-dependent one, such as βᵢ(x)·yⁱ (see `jets`). Read a jet's `partial`
+    with a multi-index over its own space's names.
     """
 
     def __init__(self, fs: FinslerStructure, x, y, order: int, r_min: float = DEFAULT_R_MIN):
@@ -339,7 +341,7 @@ class DomainGeometry:
         self.x = x
         self.y = y
         self.env = jt.jet_space(fs.xnames, order).point_env(dict(zip(fs.xnames, x)))
-        self.env.update(jt.jet_space(fs.xnames + fs.ynames, order).point_env(
+        self.env.update(jt.jet_space(fs.ynames, order).point_env(
             {fs.ynames[i]: np.asarray(y[i], dtype=np.float64) for i in range(self.n)}))
 
     # -- fundamental jets ---------------------------------------------------------
@@ -363,6 +365,8 @@ class DomainGeometry:
     @cached_property
     def ginv(self):
         gval = np.array([[np.asarray(e.value) for e in row] for row in self.g])
+        if not np.all(np.isfinite(gval)):
+            raise SingularMetricError("metric tensor is not finite")
         gmat = np.moveaxis(gval, (0, 1), (-2, -1))
         cond = np.linalg.cond(gmat)
         if not np.all(np.isfinite(cond)) or np.any(cond > _COND_LIMIT):

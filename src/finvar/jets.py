@@ -12,20 +12,37 @@ Coefficients carry an optional trailing batch shape, so one Jet can
 represent the same expression evaluated at many fiber points at once;
 all arithmetic broadcasts over the batch.
 
-A quantity that depends on the base point x alone lives in the x-only space
-`jet_space(xnames, r)`, beside the full (x, y) space `jet_space(xnames +
-ynames, r)`: at order 6 it has 28 rows instead of 210, and a product of two
-x-only jets takes 210 Leibniz triples instead of 3,003. `+` and `*` of jets
-from two spaces embed the jet of the smaller space, whose names must be a
-prefix of the other's, into the larger one (its rows scattered into zeros at
-the rows that involve the other names) and go on with the larger space's
-arithmetic; each jet keeps its embedded copy, so a shared jet is embedded
-once. This changes no bit: every output row of an x-only product sums the
-same Leibniz pairs in the same order in either space, and a mixed product
-runs the larger space's full table, zeros included, because skipping them
-would regroup `np.add.reduceat`'s sums. `deriv` by a name outside the jet's
-space gives a zero jet, and `partial(mu)` takes a multi-index over the jet's
-own space, so an x-only jet is read with an x-only multi-index.
+A jet lives in the space of the variables it was seeded from: a quantity of
+the base point x alone in the x-only space `jet_space(xnames, r)`, one of the
+fiber coordinate y alone in the y-only space `jet_space(ynames, r)`, and the
+(x, y) space appears only where the two meet. At order 6 with two x and two
+y names either small space has 28 rows against 210, and a product in it
+takes 210 Leibniz triples against 3,003. Where `+` and `*` meet jets of two
+spaces (`JetSpace._route`, cached per pair of space objects):
+
+- when one jet's names are among the other's, it is embedded into the other
+  space by name (`JetSpace._sub_rows`: its rows scattered into zeros at the
+  rows that involve the other names), and the larger space's arithmetic
+  runs; each jet keeps its embedded copy, so a shared jet is embedded once;
+- when the names are disjoint, the jets meet in their union: the two name
+  lists joined in sorted order of the lists, so x names come before y names
+  and one (x, y) space serves every product. A sum embeds both jets.
+  A product such as βᵢ(x)·yⁱ is one gather and multiply
+  (`JetSpace._outer_rows`): each row of the union has exactly one Leibniz
+  pair with both factors nonzero, of weight 1, so there is no table and no
+  `np.add.reduceat`;
+- names that overlap with neither set holding the other do not combine.
+
+This changes no bit against evaluating everything in the (x, y) space: a row
+of a product of two jets of one small space sums the same Leibniz pairs in
+the same order in either space, and the full table's sum for a row of a
+disjoint product is its one pair plus exact zeros. Only the sign of a zero
+coefficient can differ, and 0 × inf or 0 × NaN, which the full table would
+add in as NaN. A mixed product of an embedded jet runs the larger space's
+full table, zeros included, because skipping them would regroup
+`np.add.reduceat`'s sums. `deriv` by a name outside the jet's space gives a
+zero jet, and `partial(mu)` takes a multi-index over the jet's own space, so
+an x-only jet is read with an x-only multi-index.
 
 Arithmetic pays only for coefficients it can change. `+`, `-` and `*` of two
 jets of one space object and one batch rank go straight to their NumPy
@@ -101,10 +118,12 @@ class JetSpace:
                 shifted = tuple(e[k] + (1 if k == v else 0) for k in range(self.m))
                 self._deriv_idx[v, i] = self.index[shifted]
         self._mul_tables: dict = {}
-        self._prefix_row_cache: dict = {}
+        self._routes: dict = {}
+        self._sub_row_cache: dict = {}
+        self._outer_row_cache: dict = {}
         # all orders' tables are built with the space: `benchmarks/tracing.py`
         # reads the left operand's table at a product's order, also when the
-        # product of an x-only jet and an (x, y) jet ran the (x, y) table
+        # product ran another space's table or the outer-product gather
         for r in range(order + 1):
             self._mul_table(r)
 
@@ -138,13 +157,61 @@ class JetSpace:
         self._mul_tables[r] = table
         return table
 
-    def _prefix_rows(self, m: int, order: int) -> np.ndarray:
-        """Indices of the rows of degree <= `order` whose exponents past the
-        first `m` names are all 0: where a jet over those m names embeds."""
-        rows = self._prefix_row_cache.get((m, order))
+    def _route(self, other: "JetSpace"):
+        """(space, embed_self, embed_other): the space where a jet of this
+        space meets a jet of `other`, and which of the two is embedded there;
+        remembered per `other`.
+
+        Equal name lists share this space (their rows agree up to the smaller
+        order); otherwise the jet whose names are among the other's embeds
+        into the other space, and jets over disjoint names meet in their
+        union, the two name lists joined in sorted order of the lists (x names
+        before y names), at the larger of the two orders. Names that overlap
+        without one set holding the other do not combine."""
+        route = self._routes.get(other)
+        if route is None:
+            na, nb = set(self.names), set(other.names)
+            if self.names == other.names:
+                route = (self, False, False)
+            elif nb <= na:
+                route = (self, False, True)
+            elif na <= nb:
+                route = (other, True, False)
+            elif na.isdisjoint(nb):
+                first, second = sorted((self.names, other.names))
+                route = (jet_space(first + second, max(self.order, other.order)), True, True)
+            else:
+                raise ValueError(f"jets over {self.names} and {other.names} do not combine: "
+                                 "neither variable set contains the other")
+            self._routes[other] = route
+        return route
+
+    def _rows_of(self, e: np.ndarray, sub: "JetSpace") -> np.ndarray:
+        """For each row of the exponent table `e` over this space's names, the
+        row of `sub` whose exponents are its exponents at `sub`'s names."""
+        part = e[:, [self.var_pos[name] for name in sub.names]]
+        return np.array([sub.index[tuple(mu)] for mu in part.tolist()], dtype=np.int64)
+
+    def _sub_rows(self, sub: "JetSpace", order: int) -> np.ndarray:
+        """Where the rows of degree <= `order` of `sub`, whose names are all
+        among this space's, sit in this space: where a jet of `sub` embeds."""
+        rows = self._sub_row_cache.get((sub, order))
         if rows is None:
-            own = ~self.exps[:self.nrows[order], m:].any(axis=1)
-            rows = self._prefix_row_cache[(m, order)] = np.flatnonzero(own)
+            e = np.zeros((sub.nrows[order], self.m), dtype=np.int64)
+            e[:, [self.var_pos[name] for name in sub.names]] = sub.exps[:sub.nrows[order]]
+            rows = np.array([self.index[tuple(mu)] for mu in e.tolist()], dtype=np.int64)
+            self._sub_row_cache[(sub, order)] = rows
+        return rows
+
+    def _outer_rows(self, sa: "JetSpace", sb: "JetSpace", r: int):
+        """For each row of degree <= r of this space, the union of the
+        disjoint spaces `sa` and `sb`: the row of `sa` and the row of `sb`
+        whose product is its one Leibniz pair (of weight 1)."""
+        rows = self._outer_row_cache.get((sa, sb, r))
+        if rows is None:
+            e = self.exps[:self.nrows[r]]
+            rows = self._outer_row_cache[(sa, sb, r)] = (self._rows_of(e, sa),
+                                                         self._rows_of(e, sb))
         return rows
 
     # --- constructors ---------------------------------------------------------
@@ -215,30 +282,22 @@ class Jet:
         self._embedded = None
 
     def _in(self, space: JetSpace) -> "Jet":
-        """This jet in `space`, whose names extend this jet's own; remembered.
+        """This jet in `space`, which has every one of this jet's names; remembered.
 
-        Both tables are in graded order, so the rows of `space` whose extra
-        exponents are all 0 are this jet's rows, in the same order."""
+        A row of `space` whose exponents at the other names are all 0 is a
+        row of this jet (`JetSpace._sub_rows`); every other row is 0."""
         up = self._embedded
         if up is None or up.space is not space:
-            m = self.space.m
-            if space.names[:m] != self.space.names:
-                raise ValueError(f"jets over {self.space.names} and {space.names} do not "
-                                 "combine: neither variable list is a prefix of the other")
             order = min(self.order, space.order)
-            own = space._prefix_rows(m, order)
             c = np.zeros((space.nrows[order],) + self.c.shape[1:])
-            c[own] = self.c[:len(own)]
+            c[space._sub_rows(self.space, order)] = self.c[:self.space.nrows[order]]
             up = self._embedded = Jet(space, c, order, self.zero)
         return up
 
     def _common(self, other: "Jet"):
-        """Both jets in the space of the one with more variables."""
-        if self.space.names == other.space.names:
-            return self, other
-        if self.space.m < other.space.m:
-            return self._in(other.space), other
-        return self, other._in(self.space)
+        """Both jets in the space where they meet (`JetSpace._route`)."""
+        space, embed_a, embed_b = self.space._route(other.space)
+        return (self._in(space) if embed_a else self), (other._in(space) if embed_b else other)
 
     @property
     def value(self):
@@ -321,7 +380,8 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        """The Leibniz product, or the scaled coefficients for a number.
+        """The Leibniz product (a gather for disjoint spaces, see the module
+        docstring), or the scaled coefficients for a number.
 
         A product with a zero factor is a fresh zero jet and runs no kernel,
         so 0 × inf and 0 × NaN give 0 there, where the kernel gives NaN."""
@@ -331,8 +391,12 @@ class Jet:
                            self.zero and math.isfinite(other))
             c, other = self._align(other)
             return Jet(self.space, c * other, self.order)
-        a, b = (self, other) if self.space is other.space else self._common(other)
-        sp = a.space
+        a, b, sp, outer = self, other, self.space, False
+        if other.space is not sp:
+            sp, embed_a, embed_b = sp._route(other.space)
+            outer = embed_a and embed_b
+            if embed_a != embed_b:
+                a, b = (self._in(sp), other) if embed_a else (self, other._in(sp))
         r = min(a.order, b.order)
         ac, bc = a.c, b.c
         if a.zero or b.zero:
@@ -340,9 +404,12 @@ class Jet:
             if bc.shape[1:] != batch:
                 batch = np.broadcast_shapes(batch, bc.shape[1:])
             return sp.zeros(r, batch)
-        ii, jj, ww, starts = sp._mul_tables[r]
         if ac.ndim != bc.ndim:
             ac, bc = self._align_pair(ac, bc)
+        if outer:
+            ia, ib = sp._outer_rows(a.space, b.space, r)
+            return Jet(sp, ac[ia] * bc[ib], r)
+        ii, jj, ww, starts = sp._mul_tables[r]
         prod = ac[ii] * bc[jj]
         prod *= ww if prod.ndim == 1 else ww.reshape((-1,) + (1,) * (prod.ndim - 1))
         return Jet(sp, np.add.reduceat(prod, starts, axis=0), r)

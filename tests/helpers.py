@@ -277,29 +277,42 @@ def unshared_partials(rs, env, order):
 #
 # An oracle for `jets.Jet`'s arithmetic: every operation embeds and aligns its
 # operands and runs its kernel, exact zeros included, and reads no `zero`
-# flag. `reference_arithmetic()` installs it on `Jet` for the length of a
-# `with` block, so every product and sum inside the engine (powers, functions,
+# flag. Jets over disjoint names are both embedded into their union and run
+# its full Leibniz table, where the engine gathers one pair per row.
+# `reference_arithmetic()` installs it on `Jet` for the length of a `with`
+# block, so every product and sum inside the engine (powers, functions,
 # divisions) runs it too.
 
 def _reference_embed(jet, space):
-    """`jet` in `space`, whose names extend the jet's own: its rows scattered
-    into zeros at the rows that involve the other names."""
-    m = jet.space.m
-    if space.names[:m] != jet.space.names:
-        raise ValueError(f"jets over {jet.space.names} and {space.names} do not combine")
+    """`jet` in `space`, which has every one of the jet's names: each row goes
+    to the row of `space` with the same exponents at those names and 0 at the
+    others, and every other row is 0."""
     order = min(jet.order, space.order)
-    own = ~space.exps[:space.nrows[order], m:].any(axis=1)
-    c = np.zeros(own.shape + jet.c.shape[1:])
-    c[own] = jet.c[:jet.space.nrows[order]]
+    pos = [space.names.index(name) for name in jet.space.names]
+    c = np.zeros((space.nrows[order],) + jet.c.shape[1:])
+    for row, e in enumerate(jet.space.exps[:jet.space.nrows[order]]):
+        mu = [0] * space.m
+        for p, k in zip(pos, e):
+            mu[p] = int(k)
+        c[space.index[tuple(mu)]] = jet.c[row]
     return jt.Jet(space, c, order)
 
 
 def _reference_common(a, b):
+    """Both jets in the space of the one whose names hold the other's, or,
+    for disjoint names, in their union with the names that sort first first."""
+    na, nb = set(a.space.names), set(b.space.names)
     if a.space.names == b.space.names:
         return a, b
-    if a.space.m < b.space.m:
+    if nb <= na:
+        return a, _reference_embed(b, a.space)
+    if na <= nb:
         return _reference_embed(a, b.space), b
-    return a, _reference_embed(b, a.space)
+    if not na.isdisjoint(nb):
+        raise ValueError(f"jets over {a.space.names} and {b.space.names} do not combine")
+    first, second = sorted((a.space.names, b.space.names))
+    space = jt.jet_space(first + second, max(a.space.order, b.space.order))
+    return _reference_embed(a, space), _reference_embed(b, space)
 
 
 def reference_add(a, b):

@@ -214,6 +214,7 @@ NO_GEOMETRY = [
                             "b": "x1*y1^2", "scale": "2"}}, [], "domain.scale"),
     ("tension", {"tolerances": {"harmonic": "0.1"}}, [], "tolerances.harmonic"),
     ("geom", _torus(["1", 1]), ["--point", "0.1,0.2,1,0"], "domain.chart.periods[0]"),
+    ("tension", _sphere(radius=1e-100), [], "codomain.radius"),     # ρ⁴ underflows to 0
 ]
 
 
@@ -261,7 +262,9 @@ NO_GEOMETRY = [
     ("check", {"variation": {"components": 3}}, ["first-variation"]),
     ("tension", {"codomain": {"type": "sphere", "dimension": 0}}, []),
     ("tension", {"codomain": {"type": "sphere", "dimension": -2}}, []),
-] + [case[:3] for case in NO_GEOMETRY])
+] + [case[:3] for case in NO_GEOMETRY] + [
+    ("tension", {"codomain": {"type": "sphere", "radius": 1e200}}, []),   # ρ⁴ overflows
+])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
     assert main([command, "--config", cfg, *extra]) == 2
@@ -301,6 +304,54 @@ def test_unexpected_exception_is_exit_3_with_one_line(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: unexpected state\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, change, what", [
+    ("tension", {"map": {"components": ["1e308*x1*x1", "x2"]}}, "tension"),
+    ("bitension", {"map": {"components": ["1e308*x1*x1", "x2"]}}, "tension"),
+    ("bitension", {"map": {"components": ["1e200*x1^4", "x2"]}}, "tension"),   # |τ|² overflows
+    ("geom", {"domain": {"type": "riemannian", "matrix": [["1e200", "0"], ["0", "1e200"]]}},
+     "geometry"),                                                          # det g overflows
+])
+def test_a_non_finite_reported_number_is_exit_3_with_one_line(tmp_path, capsys, command,
+                                                               change, what):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
+    assert main([command, "--config", cfg, "--point", "0.1,0.2,1,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"numerical failure: non-finite {what} at x=[0.1, 0.2]")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def _python_m_finvar(tmp_path, *args):
+    """`python -m finvar ARGS` in a fresh interpreter, with this checkout's `src` first."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "finvar", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_finvar_runs_the_command(tmp_path):
+    done = _python_m_finvar(tmp_path, "geom", "--config", _write(tmp_path, "cfg.json", EUCLID_TORUS),
+                            "--point", "0.2,0.3,1.0,0.5")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.strip().endswith("RESULT: PASS")
+
+
+def test_a_non_finite_metric_is_one_line_on_stderr(tmp_path):
+    # NumPy's overflow warnings stay off stderr, and g is checked before its
+    # condition number is taken (an SVD of a non-finite matrix fails)
+    readme = {**RANDERS, "codomain": {"type": "sphere", "radius": 1.0},
+              "map": {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})",
+                                     f"0.3*sin(x2*{TWO_PI!r})"]}}
+    done = _python_m_finvar(tmp_path, "bitension", "--config",
+                            _write(tmp_path, "cfg.json", readme), "--point", "0.1,0.2,1e300,0")
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "numerical failure: metric tensor is not finite\n"
 
 
 def test_a_zero_scaling_slope_is_exit_3_with_one_line(tmp_path, capsys):

@@ -160,16 +160,17 @@ def test_functions_of_an_order_zero_jet_stay_order_zero():
             out.partial((1, 0))
 
 
-# --- x-only jets and their embedding into the (x, y) space -------------------------
+# --- x-only and y-only jets and their embedding into the (x, y) space --------------
 
 XN = ("x1", "x2")
+YN = ("y1", "y2")
 
 
 def _env(names, order, x, y=None):
     """Variables of jet_space(names, order) at x (and y when names has y1, y2)."""
     vals = dict(zip(XN, x))
     if y is not None:
-        vals.update(zip(("y1", "y2"), y))
+        vals.update(zip(YN, y))
     return jt.jet_space(names, order).point_env({k: vals[k] for k in names})
 
 
@@ -202,25 +203,68 @@ def test_x_only_jets_embed_bitwise(seed, order, xbatch, ybatch):
         assert got.order == want.order and np.array_equal(got.c, want.c)
 
 
-def test_unrelated_jet_spaces_do_not_combine():
+def test_jet_spaces_combine_by_their_variable_sets(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(jt, "np", counting)
     xs = jt.eval_ast(ex.parse("x1*x2", XN), _env(XN, 3, [0.3, -0.4]))
-    ys = jt.eval_ast(ex.parse("y1 + y2", ("y1", "y2")),
-                     jt.jet_space(("y1", "y2"), 3).point_env({"y1": np.asarray(0.5),
-                                                              "y2": np.asarray(0.2)}))
+    ys = jt.eval_ast(ex.parse("y1 + y2^2", YN), _env(YN, 3, [0.3, -0.4], [0.5, 0.2]))
+    # disjoint names meet in their union, x names first, whichever operand is left
+    full = jt.jet_space(XY, 3)
+    for a, b in ((xs, ys), (ys, xs)):
+        for result in (a + b, a - b, a * b):
+            assert result.space is full
+        before = counting.reduceat
+        a * b                                          # one pair per row: no Leibniz sums
+        assert counting.reduceat == before
+    # a jet whose names are among the other's embeds by name, a prefix or not
     swapped = jt.jet_space(("x2", "x1", "y1", "y2"), 3).variable("y1", 0.5)
-    for a, b in ((xs, ys), (ys, xs), (xs, swapped), (swapped, xs)):
+    for small in (xs, ys):
+        for a, b in ((small, swapped), (swapped, small)):
+            assert (a + b).space is swapped.space and (a * b).space is swapped.space
+    assert (ys * full.variable("x1", 0.3)).space is full
+    # names that overlap with neither set holding the other do not combine
+    mixed = jt.jet_space(("x1", "y1"), 3).variable("y1", 0.5)
+    for a, b in ((xs, mixed), (mixed, xs), (ys, mixed), (mixed, ys)):
         with pytest.raises(ValueError):
             a + b
         with pytest.raises(ValueError):
             a * b
-    # an x-only batch of another length still fails to broadcast after embedding
+    # a batch of another length still fails to broadcast after embedding
     xb = jt.eval_ast(ex.parse("sin(x1)*x2", XN), _env(XN, 3, [np.zeros(3), 0.1]))
     yb = jt.eval_ast(F2, _env(XY, 3, [0.3, -0.4], [np.linspace(-0.9, 0.9, 7), 0.6]))
-    for a, b in ((xb, yb), (yb, xb)):
+    ysb = jt.eval_ast(ex.parse("y1*y2", YN), _env(YN, 3, [0.3, -0.4], [np.zeros(7), 0.6]))
+    for a, b in ((xb, yb), (yb, xb), (xb, ysb), (ysb, xb)):
         with pytest.raises(ValueError):
             a + b
         with pytest.raises(ValueError):
             a * b
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 6),
+       xnames=st.sampled_from([XN, XY]), ynames=st.sampled_from([YN, XY]),
+       xbatch=st.booleans(), ybatch=st.booleans())
+def test_jets_in_the_spaces_of_their_variables_match_the_full_space(seed, order, xnames, ynames,
+                                                                     xbatch, ybatch):
+    from helpers import reference_arithmetic
+
+    rng = np.random.default_rng(seed)
+    x = [rng.uniform(-0.8, 0.8, size=5 if xbatch else None) for _ in XN]
+    y = [rng.uniform(-0.8, 0.8, size=5 if ybatch else None) for _ in YN]
+    env = _env(xnames, order, x, y)
+    env.update(_env(ynames, order, x, y))
+    full_env = _env(XY, order, x, y)
+    space = jt.jet_space(XY, order)
+    for _ in range(3):
+        node = random_expression(rng, XY)
+        got = jt.eval_ast(node, env)
+        with reference_arithmetic():
+            want = jt.eval_ast(node, env)
+        assert got.space is want.space and got.order == want.order, ex.to_source(node)
+        assert np.array_equal(got.c, want.c), ex.to_source(node)
+        ref = jt.eval_ast(node, full_env)
+        if got.space is not space:
+            got = got._in(space)
+        assert got.order == ref.order and np.array_equal(got.c, ref.c), ex.to_source(node)
 
 
 def test_a_variable_outside_the_space_is_an_error():
@@ -271,11 +315,14 @@ def _zero_env(mode, order, x, y, rng):
     are all 0, a zero constant (batch-free or of batch length 5) and x - x (a
     zero the arithmetic cannot know of); `d_x1` is ∂(x1·x2)/∂x1 = x2. In
     mode "x" everything is x-only, in "full" everything lives in the (x, y)
-    space, and in "mixed" the x variables and a part of the zeros are x-only."""
+    space, in "mixed" the x variables and a part of the zeros are x-only, and
+    in "split" the x variables are x-only and the y variables y-only."""
     xs_names = XN if mode == "x" else XY
     env = _env(xs_names, order, x, None if mode == "x" else y)
-    if mode == "mixed":
+    if mode in ("mixed", "split"):
         env.update(_env(XN, order, x))
+    if mode == "split":
+        env.update(_env(YN, order, x, y))
     spaces = [env[n].space for n in env]
     space = spaces[int(rng.integers(len(spaces)))]
     zero = space.constant(np.zeros((5,) if rng.uniform() < 0.5 else ()))
@@ -289,7 +336,8 @@ def _zero_env(mode, order, x, y, rng):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 6),
-       mode=st.sampled_from(["x", "full", "mixed"]), xbatch=st.booleans(), ybatch=st.booleans())
+       mode=st.sampled_from(["x", "full", "mixed", "split"]), xbatch=st.booleans(),
+       ybatch=st.booleans())
 def test_arithmetic_with_exact_zeros_matches_the_reference(seed, order, mode, xbatch, ybatch):
     from helpers import reference_arithmetic
 
@@ -316,7 +364,7 @@ def test_the_zero_flag_is_set_only_on_zero_jets_that_stay_unwritten(monkeypatch)
 
     monkeypatch.setattr(jt.Jet, "__init__", recording)
     rng = np.random.default_rng(11)
-    for mode in ("x", "full", "mixed"):
+    for mode in ("x", "full", "mixed", "split"):
         for order in (0, 1, 4):
             x = [rng.uniform(-0.8, 0.8, size=5), rng.uniform(-0.8, 0.8)]
             env, names = _zero_env(mode, order, x, [rng.uniform(-0.8, 0.8, size=5), 0.5], rng)

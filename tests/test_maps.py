@@ -332,41 +332,53 @@ def test_map_components_must_be_base_only():
         SmoothMap(["x1"], fs, rs)
 
 
-def _x_in_the_full_space(geom):
-    """Bind the x names of `geom` to variables of the (x, y) jet space, so no
-    jet of it is x-only; before any member of `geom` is computed."""
-    fs = geom.fs
-    geom.env.update(jt.jet_space(fs.xnames + fs.ynames, geom.order).point_env(
-        dict(zip(fs.xnames, geom.x))))
-    return geom
+def _in_the_full_space(*which):
+    """A binder that rebinds the names of `which` ("x", "y") of a geometry to
+    variables of the (x, y) jet space, before any member of it is computed."""
+    def bind(geom):
+        fs = geom.fs
+        names = [n for kind in which for n in {"x": fs.xnames, "y": fs.ynames}[kind]]
+        values = dict(zip(fs.xnames + fs.ynames, [*geom.x, *geom.y]))
+        geom.env.update(jt.jet_space(fs.xnames + fs.ynames, geom.order).point_env(
+            {n: np.asarray(values[n], dtype=np.float64) for n in names}))
+        return geom
+    return bind
 
 
 @pytest.mark.parametrize("y", [[0.8, -0.6], [[0.8, -0.3, 1.1], [-0.6, 0.9, 0.2]]],
                          ids=["batch-free", "batched"])
 def test_x_only_jets_change_no_bit(y):
-    fs = FinslerStructure.randers([["1", "0"], ["0", "1"]],
-                                  [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
-                                  chart=TorusChart((1.0, 1.0)))
-    m = _periodic_map(fs, RiemannStructure.sphere(2, 1.0))
+    # x in the x-only space and y in the y-only one against y in the (x, y)
+    # space, the reference, and against x and y both in it
+    chart = TorusChart((1.0, 1.0))
+    structures = [
+        FinslerStructure.randers([["1", "0"], ["0", "1"]],
+                                 [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
+                                 chart=chart),
+        FinslerStructure.euclidean(2, chart=chart),
+        FinslerStructure.perturbed(DOMAIN_MATRIX, "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2,
+                                   chart=chart, scale=0.05)]
     V1 = PullbackSection([f"sin(x1*{TWO_PI!r})", f"0.7*cos(x2*{TWO_PI!r})"])
     V2 = PullbackSection(["0.3*x1*x2 + y1*y2", "cos(x1) - 0.2*y1^2"])
     setup = PerturbationSetup(GEN_CODOMAIN, "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2,
                               scale=0.05)
     x, x_box = [0.31, 0.77], [0.31, -0.27]
-    runs, phi_vars = [], []
-    for bind in (lambda geom: geom, _x_in_the_full_space):
-        mg = MapGeometry(m, bind(DomainGeometry(fs, x, y, 6)))
-        mg8 = MapGeometry(m, bind(DomainGeometry(fs, x, y, 8)))
-        ig = IdentityGeometry(setup, x_box, y, 6)
-        bind(ig.geom)
-        routes = [ig.tau_route_b, ig.tau_route_conn,
-                  MapGeometry(setup.identity_map, ig.geom).tension]
-        values = [mg.tension, mg.bitension, mg.energy_density,
-                  mg8.hessian_integrand(V1.jets(mg8), V2.jets(mg8)), *routes]
-        runs.append([[float(v).hex() for v in np.ravel(_values(t))] for t in values])
-        phi_vars.append(len(mg.phi[0].space.names))
-    assert phi_vars == [2, 4]
-    assert runs[0] == runs[1]
+    for fs in structures:
+        m = _periodic_map(fs, RiemannStructure.sphere(2, 1.0))
+        runs, spaces = [], []
+        for bind in (_in_the_full_space("y"), lambda geom: geom, _in_the_full_space("x", "y")):
+            mg = MapGeometry(m, bind(DomainGeometry(fs, x, y, 6)))
+            mg8 = MapGeometry(m, bind(DomainGeometry(fs, x, y, 8)))
+            ig = IdentityGeometry(setup, x_box, y, 6)
+            bind(ig.geom)
+            routes = [ig.tau_route_b, ig.tau_route_conn,
+                      MapGeometry(setup.identity_map, ig.geom).tension]
+            values = [mg.tension, mg.bitension, mg.energy_density,
+                      mg8.hessian_integrand(V1.jets(mg8), V2.jets(mg8)), *routes]
+            runs.append([[float(v).hex() for v in np.ravel(_values(t))] for t in values])
+            spaces.append((len(mg.phi[0].space.names), len(mg.geom.env["y1"].space.names)))
+        assert spaces == [(2, 4), (2, 2), (4, 4)]
+        assert runs[1] == runs[0] and runs[2] == runs[0], fs.label
 
 
 def _filled_levels(partials):
