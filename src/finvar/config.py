@@ -22,8 +22,7 @@ ignored.  The full schema (all keys optional unless stated):
       "variation": {"components": [expr, ..]},   # may use eps1, eps2
       "sections": {"X": [expr, ..], "Y": [expr, ..], "f": expr},
       "perturbation": {"b": expr, "a": [expr, ..], "c_grid": [floats]},
-      "quadrature": {"x_resolution": int, "y_samples": int, "seed": int,
-                     "r_min": float, "safety": float, "workers": int},
+      "quadrature": {"x_resolution": int, "y_samples": int, "seed": int, "workers": int},
       "tolerances": {<name>: float, ..}
     }
 """
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +50,7 @@ _CODOMAIN_KEYS = {"type", "dimension", "radius", "matrix"}
 _MAP_KEYS = {"components"}
 _SECTION_KEYS = {"X", "Y", "f"}
 _PERTURBATION_KEYS = {"b", "a", "c_grid"}
-_QUAD_KEYS = {"x_resolution", "y_samples", "seed", "r_min", "safety", "workers"}
+_QUAD_KEYS = {"x_resolution", "y_samples", "seed", "workers"}
 
 DEFAULT_TOLERANCES = {
     "harmonic": 1e-8,
@@ -184,6 +184,11 @@ class RunConfig:
         raise ConfigError(f"domain.chart.type must be 'torus' or 'box', got {kind!r}")
 
     def finsler(self) -> FinslerStructure:
+        """The domain structure, built and validated when first read."""
+        return self._finsler
+
+    @cached_property
+    def _finsler(self) -> FinslerStructure:
         block = self.data.get("domain", {"type": "euclidean"})
         kind = block.get("type", "euclidean")
         n, chart = self.dimension, self.chart()

@@ -38,8 +38,9 @@ class ChartError(FinvarError):
 
 
 class ConfigError(FinvarError):
-    """Invalid run configuration (schema violation, inconsistent dimensions,
-    unparseable expressions)."""
+    """Invalid run configuration or structure (schema violation, inconsistent
+    dimensions, a structure that fails its checks); an expression that does
+    not parse raises `ExpressionError`."""
 
 
 class QuadratureError(FinvarError):

@@ -10,7 +10,9 @@ Grammar (whitespace insignificant)::
     exponent := ('-')? number
 
 Non-smooth primitives (abs, min, max, sign) are rejected at parse time;
-everything the engine differentiates must be smooth on its domain.
+everything the engine differentiates must be smooth on its domain. Every
+expression argument of the engine, text or AST, enters through `parse`,
+which checks its variables.
 
 ASTs are immutable and may share subtrees. `Calculus` derives and folds a
 family of expressions (a metric and all its partials) as one DAG: each
@@ -200,8 +202,15 @@ class _Parser:
         raise ExpressionError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
 
-def parse(source: str, variables) -> Node:
-    """Parse `source` into an AST whose free variables are drawn from `variables`."""
+def parse(source, variables) -> Node:
+    """The AST of `source`, a text or an AST, whose free variables must be
+    drawn from `variables`. An AST is checked and returned as the same
+    object: `Calculus` and the jet evaluators key their caches by identity."""
+    if isinstance(source, Node):
+        extra = free_vars(source) - frozenset(variables)
+        if extra:
+            raise ExpressionError(f"undeclared variable {min(extra)!r}")
+        return source
     if not isinstance(source, str):
         raise ExpressionError(f"an expression must be a string, got {source!r}")
     parser = _Parser(_tokenize(source), variables)
@@ -234,17 +243,24 @@ def to_source(node: Node) -> str:
 
 
 def free_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, Const):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, BinOp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Pow):
-        return free_vars(node.base)
-    if isinstance(node, Func):
-        return free_vars(node.arg)
-    raise TypeError(f"not an AST node: {node!r}")
+    """The variable names in `node`, each distinct node object visited once."""
+    names, seen, stack = set(), set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, Func):
+            stack.append(node.arg)
+        elif not isinstance(node, Const):
+            raise TypeError(f"not an AST node: {node!r}")
+    return frozenset(names)
 
 
 # --- exact differentiation and substitution ----------------------------------

@@ -137,11 +137,8 @@ class FinslerStructure:
         self.label = label
         self.xnames = tuple(f"x{i + 1}" for i in range(dim))
         self.ynames = tuple(f"y{i + 1}" for i in range(dim))
-        self.f2_ast = f2_ast
+        self.f2_ast = ex.parse(f2_ast, self.xnames + self.ynames)
         self.b_ast = b_ast
-        extra = ex.free_vars(f2_ast) - set(self.xnames) - set(self.ynames)
-        if extra:
-            raise ConfigError(f"F^2 uses non-coordinate variables {sorted(extra)}")
         self._validate()
 
     # --- constructors ----------------------------------------------------------
@@ -155,8 +152,7 @@ class FinslerStructure:
     @classmethod
     def riemannian(cls, matrix_sources, dim: int, chart=None) -> "FinslerStructure":
         coords = [f"x{i + 1}" for i in range(dim)]
-        mat = [[entry if isinstance(entry, ex.Node) else ex.parse(entry, coords)
-                for entry in row] for row in matrix_sources]
+        mat = [[ex.parse(entry, coords) for entry in row] for row in matrix_sources]
         f2 = _quadratic_form_ast(mat, dim)
         return cls(dim, f2, chart, label="riemannian")
 
@@ -164,10 +160,8 @@ class FinslerStructure:
     def randers(cls, alpha_sources, beta_sources, dim: int, chart=None) -> "FinslerStructure":
         """F = sqrt(a_ij(x) y^i y^j) + b_i(x) y^i."""
         coords = [f"x{i + 1}" for i in range(dim)]
-        amat = [[entry if isinstance(entry, ex.Node) else ex.parse(entry, coords)
-                 for entry in row] for row in alpha_sources]
-        bvec = [entry if isinstance(entry, ex.Node) else ex.parse(entry, coords)
-                for entry in beta_sources]
+        amat = [[ex.parse(entry, coords) for entry in row] for row in alpha_sources]
+        bvec = [ex.parse(entry, coords) for entry in beta_sources]
         alpha2 = _quadratic_form_ast(amat, dim)
         beta = None
         for i in range(dim):
@@ -182,9 +176,8 @@ class FinslerStructure:
         """F² = g̃_ij(x) y^i y^j + scale·b(x, y) with b 2-homogeneous in y."""
         coords = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
         xonly = [f"x{i + 1}" for i in range(dim)]
-        mat = [[entry if isinstance(entry, ex.Node) else ex.parse(entry, xonly)
-                for entry in row] for row in matrix_sources]
-        b = b_source if isinstance(b_source, ex.Node) else ex.parse(b_source, coords)
+        mat = [[ex.parse(entry, xonly) for entry in row] for row in matrix_sources]
+        b = ex.parse(b_source, coords)
         if scale != 1.0:
             b_scaled = ex.BinOp("*", ex.Const(float(scale)), b)
         else:
@@ -195,7 +188,7 @@ class FinslerStructure:
     @classmethod
     def custom(cls, f_source, dim: int, chart=None) -> "FinslerStructure":
         coords = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
-        f = f_source if isinstance(f_source, ex.Node) else ex.parse(f_source, coords)
+        f = ex.parse(f_source, coords)
         return cls(dim, ex.Pow(f, 2.0), chart, label="custom")
 
     # --- plain evaluation -------------------------------------------------------
@@ -325,7 +318,7 @@ class DomainGeometry:
     with a multi-index over its own space's names.
     """
 
-    def __init__(self, fs: FinslerStructure, x, y, order: int, r_min: float = DEFAULT_R_MIN):
+    def __init__(self, fs: FinslerStructure, x, y, order: int):
         self.fs = fs
         self.n = fs.dim
         self.order = order
@@ -335,9 +328,11 @@ class DomainGeometry:
             raise ChartError(f"expected {self.n} base coordinates")
         if not fs.chart.contains(x):
             raise ChartError(f"point {x} outside the chart")
+        if not np.all(np.isfinite(y)):
+            raise ChartError("fiber coordinate is not finite")
         ynorm = np.sqrt(sum(np.asarray(y[i]) ** 2 for i in range(self.n)))
-        if np.any(ynorm < r_min):
-            raise ChartError(f"fiber coordinate below the zero-section floor {r_min}")
+        if np.any(ynorm < DEFAULT_R_MIN):
+            raise ChartError(f"fiber coordinate below the zero-section floor {DEFAULT_R_MIN}")
         self.x = x
         self.y = y
         self.env = jt.jet_space(fs.xnames, order).point_env(dict(zip(fs.xnames, x)))
@@ -549,9 +544,9 @@ def _metric_data(geom: DomainGeometry) -> MetricData:
         raise SingularMetricError("metric inverse failed its identity check")
     f2 = float(geom.f2.value)
     quad = float(geom.y @ g @ geom.y)
-    if abs(quad - f2) > 1e-10 * max(abs(f2), 1e-30):
-        raise DomainEvalError("Euler identity g_ij y^i y^j = F^2 violated "
-                              "(F is not 1-homogeneous at this point)")
+    if not abs(quad - f2) <= 1e-10 * max(abs(f2), 1e-30):   # a NaN fails too
+        raise DomainEvalError("Euler identity g_ij y^i y^j = F^2 violated at this point "
+                              "(F is not 1-homogeneous, or F^2 is not finite)")
     return MetricData(g=g, ginv=ginv, detg=float(_values(geom.detg)), y_low=g @ geom.y, f2=f2)
 
 
@@ -578,10 +573,9 @@ def curvature(fs: FinslerStructure, p: PointState) -> CurvatureData:
 
 def _field_jet(fs, field, geom):
     """Normalize a field argument (source text, AST, or jet-callable) to a jet."""
-    if callable(field) and not isinstance(field, ex.Node):
+    if callable(field):
         return field(geom)
-    node = field if isinstance(field, ex.Node) else ex.parse(field, fs.xnames + fs.ynames)
-    return jt.eval_ast(node, geom.env)
+    return jt.eval_ast(ex.parse(field, fs.xnames + fs.ynames), geom.env)
 
 
 def delta_derivative(fs: FinslerStructure, field, p: PointState, i: int):
@@ -638,7 +632,7 @@ def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,
 
 def arc_length(fs: FinslerStructure, curve_sources, t0: float, t1: float) -> float:
     """l(c) = ∫ F(c(t), ċ(t)) dt by Gauss–Legendre quadrature with 64 nodes."""
-    curves = [c if isinstance(c, ex.Node) else ex.parse(c, ["t"]) for c in curve_sources]
+    curves = [ex.parse(c, ["t"]) for c in curve_sources]
     vels = [ex.constant_fold(ex.differentiate(c, "t")) for c in curves]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1)

@@ -54,13 +54,11 @@ class PerturbationSetup:
         self.scale = float(scale)
         xnames = [f"x{i + 1}" for i in range(dim)]
         names = xnames + [f"y{i + 1}" for i in range(dim)]
-        self.base_asts = [[e if isinstance(e, ex.Node) else ex.parse(e, xnames)
-                           for e in row] for row in base_sources]
-        self.b_ast = b_source if isinstance(b_source, ex.Node) else ex.parse(b_source, names)
+        self.base_asts = [[ex.parse(e, xnames) for e in row] for row in base_sources]
+        self.b_ast = ex.parse(b_source, names)
         self.a_asts = None
         if a_sources is not None:
-            self.a_asts = [e if isinstance(e, ex.Node) else ex.parse(e, xnames)
-                           for e in a_sources]
+            self.a_asts = [ex.parse(e, xnames) for e in a_sources]
 
     def with_scale(self, scale: float) -> "PerturbationSetup":
         return PerturbationSetup(self.base_asts, self.b_ast, self.dim, self.chart, self.a_asts,

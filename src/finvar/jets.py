@@ -666,14 +666,3 @@ def eval_ast(node, env: dict) -> Jet:
     each distinct node object once."""
     return _SingleAst(env, node)(node)
 
-
-def eval_jet(ast, point: dict, order: int) -> Jet:
-    """All mixed partials of `ast` at `point` up to total order `order`.
-
-    `point` maps every free variable to a value; the variable enumeration
-    order of the coefficient table follows the key order of `point`.
-    """
-    if order > K_MAX:
-        raise OrderLimitError(f"order {order} exceeds K_max = {K_MAX}")
-    space = jet_space(tuple(point), order)
-    return eval_ast(ast, space.point_env({k: np.asarray(v, dtype=np.float64) for k, v in point.items()}))

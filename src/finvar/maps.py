@@ -52,14 +52,7 @@ class SmoothMap:
             raise ConfigError(f"expected {rs.dim} map components, got {len(sources)}")
         self.fs = fs
         self.rs = rs
-        xnames = list(fs.xnames)
-        self.components = [s if isinstance(s, ex.Node) else ex.parse(s, xnames)
-                           for s in sources]
-        for a, node in enumerate(self.components):
-            extra = ex.free_vars(node) - set(fs.xnames)
-            if extra:
-                raise ConfigError(f"map component {a} depends on non-base variables "
-                                  f"{sorted(extra)}")
+        self.components = [ex.parse(s, fs.xnames) for s in sources]
 
     def value(self, x):
         env = {self.fs.xnames[i]: x[i] for i in range(self.fs.dim)}
@@ -75,8 +68,7 @@ class VariationFamily:
         names = ["eps1", "eps2"] + list(fs.xnames)
         self.fs = fs
         self.rs = rs
-        self.components = [s if isinstance(s, ex.Node) else ex.parse(s, names)
-                           for s in sources]
+        self.components = [ex.parse(s, names) for s in sources]
         if len(self.components) != rs.dim:
             raise ConfigError("variation family components do not match codomain dimension")
         self.base = base if base is not None else self.map_at(0.0, 0.0)
@@ -121,13 +113,10 @@ class PullbackSection:
         out = []
         names = mg.map.fs.xnames + mg.map.fs.ynames
         for comp in self.raw:
-            if isinstance(comp, jt.Jet):
-                out.append(comp)
-            elif callable(comp) and not isinstance(comp, ex.Node):
+            if callable(comp):
                 out.append(comp(mg))
             else:
-                node = comp if isinstance(comp, ex.Node) else ex.parse(comp, names)
-                out.append(jt.eval_ast(node, mg.geom.env))
+                out.append(jt.eval_ast(ex.parse(comp, names), mg.geom.env))
         return out
 
 

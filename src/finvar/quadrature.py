@@ -5,9 +5,10 @@ The functional ∫_{BM} α is computed with the normalization
     (1/VolB^n) ∫_M ( ∫_{B_x} α(x, y) det g(x, y) dy ) dx,   B_x = {F(x, ·) ≤ 1},
 
 with the fiber integral estimated by Monte Carlo rejection sampling from a
-Euclidean bounding ball of per-point radius safety / min_{‖u‖=1} F(x, u),
-and the base integral by a periodic trapezoidal rule (torus charts) or a
-Gauss–Legendre product rule (box charts).
+Euclidean bounding ball of per-point radius SAFETY / min_{‖u‖=1} F(x, u)
+(the fixed factor SAFETY = 1.1), redrawing any sample below the zero-section
+floor `finsler.DEFAULT_R_MIN`, and the base integral by a periodic
+trapezoidal rule (torus charts) or a Gauss–Legendre product rule (box charts).
 
 Reproducibility: every x-node owns a counter-based Philox stream keyed by
 (seed, node index), and the node reduction runs in a fixed order in the
@@ -35,14 +36,22 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, QuadratureError
-from .finsler import (ORDER_TABLE, BoxChart, DomainGeometry, FinslerStructure, TorusChart,
-                      _values, order_for)
+from .finsler import (DEFAULT_R_MIN, ORDER_TABLE, BoxChart, DomainGeometry, FinslerStructure,
+                      TorusChart, _values, order_for)
 from .maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
+
+
+#: The bounding ball's radius times min_{‖u‖=1} F(x, u); below 1 the ball would cut B_x.
+SAFETY = 1.1
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Base-rule resolution, fibers per node, seed and sampler settings.
+    """Base-rule resolution, fibers per node, seed and worker count.
+
+    The sampler's settings are fixed: each node draws its fibers from a ball
+    of radius `SAFETY` / min_{‖u‖=1} F(x, u), redrawing any sample whose |y|
+    is below the zero-section floor `finsler.DEFAULT_R_MIN`.
 
     `workers` processes share out the x-nodes in strides: the caller
     evaluates nodes 0, w, 2w, …, and a forked child each further stride.
@@ -59,8 +68,6 @@ class QuadratureSpec:
     x_resolution: int = 16
     y_samples: int = 4096
     seed: int = 0
-    r_min: float = 1e-6
-    safety: float = 1.1
     workers: int = 1
 
     def __post_init__(self):
@@ -76,11 +83,6 @@ class QuadratureSpec:
             raise ConfigError("y sample count must be >= 2")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
-        if not (math.isfinite(self.r_min) and self.r_min >= 0):
-            raise ConfigError(f"quadrature r_min must be a finite number >= 0, got {self.r_min!r}")
-        # the bounding ball has radius safety / min F(x, u): below 1 it cuts B_x
-        if not (math.isfinite(self.safety) and self.safety >= 1):
-            raise ConfigError(f"quadrature safety must be a finite number >= 1, got {self.safety!r}")
         if not 0 <= self.seed < 2 ** 32:
             # the Philox key is (seed << 32) + node index in 64 bits
             raise ConfigError("seed must be in [0, 2^32)")
@@ -128,8 +130,8 @@ def _x_rule(fs: FinslerStructure, res: int):
     return xs, np.array(ws)
 
 
-def _bounding_radius(fs: FinslerStructure, x, safety: float) -> float:
-    """safety / min F(x, u) over a dense scan of unit directions."""
+def _bounding_radius(fs: FinslerStructure, x) -> float:
+    """SAFETY / min F(x, u) over a dense scan of unit directions."""
     n = fs.dim
     count = 64 * n
     if n == 2:
@@ -142,7 +144,7 @@ def _bounding_radius(fs: FinslerStructure, x, safety: float) -> float:
     f2 = np.asarray(fs.f2_value(x, dirs))
     if np.any(f2 <= 0) or not np.all(np.isfinite(f2)):
         raise QuadratureError(f"F^2 <= 0 detected during the bounding-radius scan at x={x}")
-    return safety / float(np.sqrt(f2.min()))
+    return SAFETY / float(np.sqrt(f2.min()))
 
 
 def _fiber_samples(fs: FinslerStructure, x, spec: QuadratureSpec, node_index: int):
@@ -153,7 +155,7 @@ def _fiber_samples(fs: FinslerStructure, x, spec: QuadratureSpec, node_index: in
     drawn for any map/integrand evaluated over this structure and spec.
     """
     n = fs.dim
-    radius = _bounding_radius(fs, x, spec.safety)
+    radius = _bounding_radius(fs, x)
     rng = np.random.Generator(np.random.Philox(key=(np.uint64(spec.seed) << np.uint64(32))
                                                + np.uint64(node_index)))
     raw = rng.normal(size=(n, spec.y_samples))
@@ -162,7 +164,7 @@ def _fiber_samples(fs: FinslerStructure, x, spec: QuadratureSpec, node_index: in
     y = radius * (u ** (1.0 / n)) * raw / norms
     # resample points below the zero-section floor (bounded retry loop)
     for _ in range(100):
-        low = np.linalg.norm(y, axis=0) < spec.r_min
+        low = np.linalg.norm(y, axis=0) < DEFAULT_R_MIN
         if not np.any(low):
             break
         k = int(low.sum())
@@ -170,7 +172,7 @@ def _fiber_samples(fs: FinslerStructure, x, spec: QuadratureSpec, node_index: in
         u = rng.uniform(size=k)
         y[:, low] = radius * (u ** (1.0 / n)) * raw / np.linalg.norm(raw, axis=0)
     else:
-        raise QuadratureError("could not draw fiber samples above the r_min floor")
+        raise QuadratureError("could not draw fiber samples above the zero-section floor")
     f2 = np.asarray(fs.f2_value(x, y))
     inside = f2 <= 1.0
     rate = float(inside.mean())
@@ -187,10 +189,8 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
     `fn` is either an expression (source or AST, variables x1.., y1..) or a
     callable `(x, y_batch) -> values` evaluated on the accepted samples.
     """
-    if isinstance(fn, str):
-        fn = ex.parse(fn, list(fs.xnames) + list(fs.ynames))
-    if isinstance(fn, ex.Node):
-        node = fn
+    if not callable(fn):
+        node = ex.parse(fn, fs.xnames + fs.ynames)
 
         def fn(x, y):
             env = {fs.xnames[i]: x[i] for i in range(fs.dim)}
@@ -199,7 +199,7 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
                                    y.shape[1:]).copy()
 
     def node_rows(x, y):
-        geom = DomainGeometry(fs, x, y, ORDER_TABLE["metric"], r_min=0.0)
+        geom = DomainGeometry(fs, x, y, ORDER_TABLE["metric"])
         return [np.asarray(fn(x, y)) * _values(geom.detg)]
 
     return _assemble(node_rows, fs, spec,
@@ -465,9 +465,9 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
 def divergence_theorem_check(fs: FinslerStructure, X, spec: QuadratureSpec,
                              f=None) -> dict:
     """∫_{BM} div X (and optionally ∫ Δf) on one geometry per node; both should vanish."""
-    names = list(fs.xnames) + list(fs.ynames)
-    X_asts = [c if isinstance(c, ex.Node) else ex.parse(c, names) for c in X]
-    f_ast = f if f is None or isinstance(f, ex.Node) else ex.parse(f, names)
+    names = fs.xnames + fs.ynames
+    X_asts = [ex.parse(c, names) for c in X]
+    f_ast = None if f is None else ex.parse(f, names)
 
     def node_rows(x, y):
         geom = DomainGeometry(fs, x, y, order_for("divergence", "laplacian"))

@@ -252,21 +252,16 @@ def nabla_riem_apply(nabla, direction, u, w, z, dim):
 class RiemannStructure:
     """Codomain manifold chart with a y-independent metric given by expressions."""
 
-    def __init__(self, dim: int, matrix_asts, label: str = "custom"):
+    def __init__(self, dim: int, matrix, label: str = "custom"):
         if dim < 1:
             raise ConfigError("codomain dimension must be >= 1")
         self.dim = dim
         self.label = label
         self.coords = tuple(f"x{i + 1}" for i in range(dim))
-        self.metric_asts = matrix_asts
+        self.metric_asts = [[ex.parse(matrix[a][b], self.coords) for b in range(dim)]
+                            for a in range(dim)]
         self._partial_asts: dict = {}
         self._calculus = ex.Calculus()
-        for a in range(dim):
-            for b in range(dim):
-                extra = ex.free_vars(matrix_asts[a][b]) - set(self.coords)
-                if extra:
-                    raise ConfigError(f"codomain metric entry ({a},{b}) uses "
-                                      f"non-coordinate variables {sorted(extra)}")
 
     @classmethod
     def euclidean(cls, dim: int) -> "RiemannStructure":
@@ -285,9 +280,7 @@ class RiemannStructure:
 
     @classmethod
     def custom(cls, matrix_sources, dim: int) -> "RiemannStructure":
-        coords = [f"x{i + 1}" for i in range(dim)]
-        mat = [[ex.parse(matrix_sources[a][b], coords) for b in range(dim)] for a in range(dim)]
-        rs = cls(dim, mat)
+        rs = cls(dim, matrix_sources)
         rs._validate_symmetry()
         return rs
 

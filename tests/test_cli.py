@@ -322,6 +322,15 @@ def test_a_non_finite_reported_number_is_exit_3_with_one_line(tmp_path, capsys, 
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_an_overflowed_f2_is_exit_3_with_one_line(tmp_path, capsys):
+    # F² = g_ij y^i y^j = inf: the Euler check reads inf - inf = NaN as a failure
+    cfg = _write(tmp_path, "cfg.json", EUCLID_TORUS)
+    assert main(["geom", "--config", cfg, "--point", "0.1,0.2,1e300,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: Euler identity")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def _python_m_finvar(tmp_path, *args):
     """`python -m finvar ARGS` in a fresh interpreter, with this checkout's `src` first."""
     import os

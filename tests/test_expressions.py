@@ -1,12 +1,18 @@
 """Expression grammar: parsing, printing, exact differentiation, evaluation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from finvar import expressions as ex
+from finvar import finsler as fn
+from finvar import maps
+from finvar import quadrature as q
 from finvar.errors import ExpressionError
+from finvar.identity import PerturbationSetup
+from finvar.riemann import RiemannStructure
 
 from helpers import random_expression, unshared_differentiate, unshared_fold
 
@@ -81,9 +87,88 @@ def test_free_vars():
     assert ex.free_vars(node) == {"x1", "x2", "y2"}
 
 
+def _tree_free_vars(node):
+    """The free variables of `node` by a plain walk of its tree."""
+    if isinstance(node, ex.Var):
+        return {node.name}
+    children = {ex.BinOp: ("left", "right"), ex.Pow: ("base",), ex.Func: ("arg",)}
+    return set().union(*(_tree_free_vars(getattr(node, f))
+                         for f in children.get(type(node), ())))
+
+
+def test_free_vars_of_a_shared_derivative_dag_match_the_tree_walk():
+    rs = RiemannStructure.sphere(3)
+    for a, b in itertools.product(range(3), repeat=2):
+        for mu in itertools.combinations_with_replacement(range(3), 3):
+            node = rs._partial_ast(a, b, mu)
+            assert ex.free_vars(node) == _tree_free_vars(node)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ExpressionError):
         ex.parse("x1 + z9", NAMES)
+
+
+def test_parse_checks_an_ast_and_returns_it_as_the_same_object():
+    node = ex.parse("x1*y2 + sin(x2)", NAMES)
+    assert ex.parse(node, NAMES) is node
+    bad = ex.BinOp("+", node, ex.Var("z9"))
+    with pytest.raises(ExpressionError) as from_ast:
+        ex.parse(bad, NAMES)
+    with pytest.raises(ExpressionError) as from_text:
+        ex.parse(ex.to_source(bad), NAMES)
+    assert str(from_ast.value) == "undeclared variable 'z9'"
+    assert str(from_text.value).startswith("undeclared variable 'z9'")
+
+
+_Z = ex.Var("z")
+_X1_PLUS_Z = ex.BinOp("+", ex.Var("x1"), _Z)
+_EYE = [["1", "0"], ["0", "1"]]
+
+
+def _torus():
+    return fn.FinslerStructure.euclidean(2, chart=fn.TorusChart((1.0, 1.0)))
+
+
+def _at_point(call):
+    return lambda: call(_torus(), fn.PointState([0.2, 0.3], [0.8, -0.6]))
+
+
+_SPEC = q.QuadratureSpec(x_resolution=2, y_samples=16, seed=1)
+_FLAT = RiemannStructure.euclidean(2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: maps.SmoothMap([_X1_PLUS_Z, "x2"], _torus(), _FLAT), "z"),
+    (lambda: maps.VariationFamily(["x1 + eps1", _X1_PLUS_Z], _torus(), _FLAT), "z"),
+    (lambda: fn.FinslerStructure(2, ex.BinOp("+", ex.parse("y1^2 + y2^2", NAMES), _Z)), "z"),
+    (lambda: fn.FinslerStructure.riemannian([[_X1_PLUS_Z, "0"], ["0", "1"]], 2), "z"),
+    (lambda: fn.FinslerStructure.randers(_EYE, [_X1_PLUS_Z, "0"], 2), "z"),
+    (lambda: fn.FinslerStructure.perturbed(_EYE, ex.BinOp("*", _Z, ex.Var("y1")), 2), "z"),
+    (lambda: fn.FinslerStructure.custom(ex.BinOp("+", ex.Var("y1"), _Z), 2), "z"),
+    (lambda: RiemannStructure(2, [[_X1_PLUS_Z, ex.Const(0.0)], [ex.Const(0.0), ex.Const(1.0)]]),
+     "z"),
+    (lambda: RiemannStructure.custom([[_X1_PLUS_Z, "0"], ["0", "1"]], 2), "z"),
+    (lambda: PerturbationSetup(_EYE, ex.BinOp("*", _Z, ex.Var("y1")), 2), "z"),
+    (lambda: PerturbationSetup(_EYE, "x1*y1^2", 2, a_sources=[_X1_PLUS_Z, "0"]), "z"),
+    (_at_point(lambda fs, p: maps.rough_laplacian(maps.SmoothMap(["x1", "x2"], fs, _FLAT),
+                                                  maps.PullbackSection([_Z, "x2"]), p)), "z"),
+    (lambda: q.integrate(_X1_PLUS_Z, _torus(), _SPEC), "z"),
+    (lambda: q.divergence_theorem_check(_torus(), [_Z, ex.Const(0.0)], _SPEC), "z"),
+    (lambda: q.divergence_theorem_check(_torus(), ["x1", "x2"], _SPEC, f=_Z), "z"),
+    (_at_point(lambda fs, p: fn.delta_derivative(fs, _Z, p, 0)), "z"),
+    (_at_point(lambda fs, p: fn.divergence(fs, [_Z, ex.Const(0.0)], p)), "z"),
+    (_at_point(lambda fs, p: fn.horizontal_laplacian(fs, _Z, p)), "z"),
+    (lambda: fn.arc_length(_torus(), [ex.Var("x1"), ex.Var("t")], 0.0, 1.0), "x1"),
+], ids=["SmoothMap", "VariationFamily", "FinslerStructure", "riemannian", "randers",
+        "perturbed", "custom", "RiemannStructure", "RiemannStructure.custom",
+        "PerturbationSetup.b", "PerturbationSetup.a", "PullbackSection", "integrate",
+        "divergence_theorem_check.X", "divergence_theorem_check.f", "delta_derivative",
+        "divergence", "horizontal_laplacian", "arc_length"])
+def test_an_undeclared_name_in_an_ast_is_an_expression_error(call, name):
+    with pytest.raises(ExpressionError) as err:
+        call()
+    assert str(err.value) == f"undeclared variable {name!r}"
 
 
 def test_syntax_error_carries_position():

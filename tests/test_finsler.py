@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from finvar import expressions as ex
 from finvar import finsler as fn
 from finvar import riemann as rm
-from finvar.errors import ChartError, ConfigError, DomainEvalError
+from finvar.errors import ChartError, ConfigError, DomainEvalError, ExpressionError
 
 from helpers import fd_partial, random_expression, reference_validate
 
@@ -230,13 +230,16 @@ def test_zero_section_floor_and_chart_violations():
         fn.PointState([0.0, 0.0], [1e-9, 0.0])
     with pytest.raises(ChartError):
         fn.metric(fs, fn.PointState([5.0, 0.0], [1.0, 0.0]))
+    for y in ([float("nan"), 1.0], [float("inf"), 0.0]):
+        with pytest.raises(ChartError):
+            fn.metric(fs, fn.PointState([0.0, 0.0], y))
 
 
 def test_invalid_structures_rejected():
     # the sampled checks are pinned in test_validation_outcomes_are_pinned
     with pytest.raises(ConfigError):
         fn.FinslerStructure.euclidean(1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ExpressionError):
         fn.FinslerStructure(2, ex.parse("y1^2 + y2^2 + z1", ["y1", "y2", "z1"]))
 
 
