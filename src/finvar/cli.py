@@ -38,7 +38,9 @@ def _fmt(arr) -> str:
 
 
 def _parse_point(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    parts = text.split(",")
+    if any(p.strip() == "" for p in parts):
+        raise ConfigError(f"--point has an empty field: {text!r}")
     if len(parts) != 2 * dim:
         raise ConfigError(f"--point expects {2 * dim} comma-separated values "
                           f"(x1..x{dim},y1..y{dim}), got {len(parts)}")

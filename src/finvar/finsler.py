@@ -20,6 +20,10 @@ Conventions (indices are 0-based in code):
     R^i_jk    = δ_k G^i_j − δ_j G^i_k
     R_j^i_kl  = δ_l Γ^i_jk − δ_k Γ^i_jl + Γ^h_jk Γ^i_hl − Γ^h_jl Γ^i_hk
     P_j^i_kl  = ∂Γ^i_jk/∂y^l
+
+Γ and R_j^i_kl are `riemann.levi_civita` and `riemann.curvature_table` with δ
+in place of ∂. Every trace g^{ij}(A_ij − Γ^k_ij B_k − P_i B_j) (Δf, τ, Δ^{dφ})
+goes through `DomainGeometry.horizontal_trace`, every g^{ij}T_ij through `contract`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ChartError, ConfigError, DomainEvalError, SingularMetricError
-from .riemann import determinant, invert_matrix
+from .riemann import curvature_table, determinant, invert_matrix, levi_civita
 
 # The jet order of F² each read needs: the least order at which its value
 # survives every derivative taken on the way (one lower raises OrderLimitError).
@@ -299,6 +303,14 @@ def _quadratic_form_ast(matrix_asts, dim):
 
 # --- the pointwise geometry pipeline ---------------------------------------------
 
+def adapted_derivative(fs: FinslerStructure, N, jet, i):
+    """δ_i = ∂_i − N^j_i ∂̇_j of a jet, N[j][i] = N^j_i the domain's G^j_i or a base G̃^j_i."""
+    out = jet.deriv(fs.xnames[i])
+    for j in range(fs.dim):
+        out = out - N[j][i] * jet.deriv(fs.ynames[j])
+    return out
+
+
 class DomainGeometry:
     """All jets of the intrinsic geometry at one base point.
 
@@ -398,27 +410,14 @@ class DomainGeometry:
 
     def delta(self, jet, i):
         """Adapted derivative δ_i = ∂_i − G^j_i ∂̇_j applied to a jet."""
-        out = jet.deriv(self.fs.xnames[i])
-        for j in range(self.n):
-            out = out - self.Gj[j][i] * jet.deriv(self.fs.ynames[j])
-        return out
+        return adapted_derivative(self.fs, self.Gj, jet, i)
 
     @cached_property
     def gamma(self):
-        """gamma[i][j][k] = Chern–Rund Γ^i_jk."""
+        """gamma[i][j][k] = Chern–Rund Γ^i_jk: `riemann.levi_civita` of δ_k g_ij."""
         n = self.n
-        dg = [[[self.delta(self.g[a][b], c) for c in range(n)] for b in range(n)]
-              for a in range(n)]
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    entry = 0.5 * jt.sum_terms([self.ginv[i][h]
-                                                * (dg[h][j][k] + dg[h][k][j] - dg[j][k][h])
-                                                for h in range(n)])
-                    out[i][j][k] = entry
-                    out[i][k][j] = entry
-        return out
+        return levi_civita([[[self.delta(self.g[a][b], c) for b in range(n)] for a in range(n)]
+                            for c in range(n)], self.ginv)
 
     @cached_property
     def P(self):
@@ -449,21 +448,11 @@ class DomainGeometry:
 
     @cached_property
     def hh_curvature(self):
-        """R[j][i][k][l] = R_j{}^i{}_{kl}."""
+        """R[j][i][k][l] = R_j{}^i{}_{kl}: `riemann.curvature_table` of Γ and δ_l Γ^i_jk."""
         n = self.n
-        dgamma = [[[[self.delta(self.gamma[i][j][k], l) for l in range(n)]
-                    for k in range(n)] for j in range(n)] for i in range(n)]
-        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        entry = (dgamma[i][j][k][l] - dgamma[i][j][l][k]
-                                 + jt.sum_terms([self.gamma[h][j][k] * self.gamma[i][h][l]
-                                                 - self.gamma[h][j][l] * self.gamma[i][h][k]
-                                                 for h in range(n)]))
-                        out[j][i][k][l] = entry
-        return out
+        return curvature_table(self.gamma, [[[[self.delta(self.gamma[i][j][k], l)
+                                               for k in range(n)] for j in range(n)]
+                                             for i in range(n)] for l in range(n)], n)
 
     @cached_property
     def hv_curvature(self):
@@ -485,19 +474,31 @@ class DomainGeometry:
             acc = acc - self.P_i[k] * X[k]
         return acc
 
-    def horizontal_laplacian_of(self, f):
-        """Δf = −g^{ij}(δ_iδ_j f − Γ^k_ij δ_k f − P_i δ_j f) for a scalar jet f."""
+    def contract(self, T):
+        """Σ g^{ij} T_ij, a left fold in row-major (i, j) order."""
         n = self.n
-        df = [self.delta(f, i) for i in range(n)]
-        terms = []
+        return jt.sum_terms([self.ginv[i][j] * T[i][j] for i in range(n) for j in range(n)])
+
+    def horizontal_trace(self, A, B):
+        """`contract` of A_ij − Σ_k Γ^k_ij B_k − P_i B_j: the one trace behind
+        Δf, τ and Δ^{dφ}, with A_ij the second derivative along δ_j then δ_i
+        and B_k the first along δ_k. The torsion trace P_i pairs with the
+        outer index i."""
+        n = self.n
+        T = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                term = self.delta(df[j], i)
+                t = A[i][j]
                 for k in range(n):
-                    term = term - self.gamma[k][i][j] * df[k]
-                term = term - self.P_i[i] * df[j]
-                terms.append(self.ginv[i][j] * term)
-        return -jt.sum_terms(terms)
+                    t = t - self.gamma[k][i][j] * B[k]
+                T[i][j] = t - self.P_i[i] * B[j]
+        return self.contract(T)
+
+    def horizontal_laplacian_of(self, f):
+        """Δf = −g^{ij}(δ_iδ_j f − Γ^k_ij δ_k f − P_i δ_j f) for a scalar jet f."""
+        df = [self.delta(f, i) for i in range(self.n)]
+        return -self.horizontal_trace([[self.delta(dfj, i) for dfj in df] for i in range(self.n)],
+                                      df)
 
 
 def _values(table):
@@ -585,6 +586,8 @@ def delta_derivative(fs: FinslerStructure, field, p: PointState, i: int):
 
 def divergence(fs: FinslerStructure, X, p: PointState):
     """X is a list of n component fields (sources, ASTs, or jet-callables)."""
+    if len(X) != fs.dim:
+        raise ConfigError(f"expected {fs.dim} vector field components, got {len(X)}")
     geom = DomainGeometry(fs, p.x, p.y, ORDER_TABLE["divergence"])
     jets = [_field_jet(fs, comp, geom) for comp in X]
     return float(geom.divergence_of(jets).value)

@@ -31,7 +31,8 @@ import numpy as np
 from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, DomainEvalError
-from .finsler import ORDER_TABLE, DomainGeometry, FinslerStructure, PointState, _values
+from .finsler import (ORDER_TABLE, DomainGeometry, FinslerStructure, PointState, _values,
+                      adapted_derivative)
 from .maps import MapGeometry, SmoothMap
 from .riemann import RiemannStructure
 
@@ -114,10 +115,7 @@ class IdentityGeometry:
                  for i in range(n)] for j in range(n)]
 
     def delta_tilde(self, jet, i):
-        out = jet.deriv(self.fs.xnames[i])
-        for j in range(self.n):
-            out = out - self.Gt[j][i] * jet.deriv(self.fs.ynames[j])
-        return out
+        return adapted_derivative(self.fs, self.Gt, jet, i)
 
     @cached_property
     def y_low(self):
@@ -153,16 +151,14 @@ class IdentityGeometry:
         n = self.n
         Bjk = [[[self.B[i].deriv(self.fs.ynames[j]).deriv(self.fs.ynames[k])
                  for k in range(n)] for j in range(n)] for i in range(n)]
-        return [-jt.sum_terms([self.geom.ginv[j][k] * Bjk[i][j][k]
-                               for j in range(n) for k in range(n)]) for i in range(n)]
+        return [-self.geom.contract(Bjk[i]) for i in range(n)]
 
     @cached_property
     def tau_route_conn(self):
         """τ^i = g^{jk}(γ̃^i_{jk} − G^i_{jk})."""
         n = self.n
-        return [jt.sum_terms([self.geom.ginv[j][k]
-                              * (self.gamma_tilde[i][j][k] - self.geom.Gjk[i][j][k])
-                              for j in range(n) for k in range(n)]) for i in range(n)]
+        return [self.geom.contract([[self.gamma_tilde[i][j][k] - self.geom.Gjk[i][j][k]
+                                     for k in range(n)] for j in range(n)]) for i in range(n)]
 
     def eq33_residual(self):
         """2 y_{h||j} − (F²_{||j})_{·h}, all components."""

@@ -26,6 +26,10 @@ The curvature operator wiring (which slot of R̃_β{}^α{}_{γρ} each argument
 feeds) is the one fixed by the Ricci identity in `riemann`; the
 first-variation finite-difference check J(V) = D_{∂ε}τ confirms it
 end-to-end in the tests.
+
+τ, its structural form and Δ^{dφ} are `DomainGeometry.horizontal_trace` calls,
+and the other g^{ij} sums (but those of e(φ) and the Hessian integrand) are
+`DomainGeometry.contract` calls: this module reads neither Γ nor P_i.
 """
 
 from __future__ import annotations
@@ -108,16 +112,17 @@ class PullbackSection:
 
     def __init__(self, components):
         self.raw = list(components)
+        self._parsed = {}       # variable names -> components, each source parsed once
 
     def jets(self, mg: "MapGeometry"):
-        out = []
+        if len(self.raw) != mg.m:
+            raise ConfigError(f"expected {mg.m} section components, got {len(self.raw)}")
         names = mg.map.fs.xnames + mg.map.fs.ynames
-        for comp in self.raw:
-            if callable(comp):
-                out.append(comp(mg))
-            else:
-                out.append(jt.eval_ast(ex.parse(comp, names), mg.geom.env))
-        return out
+        comps = self._parsed.get(names)
+        if comps is None:
+            comps = [c if callable(c) else ex.parse(c, names) for c in self.raw]
+            self._parsed[names] = comps
+        return [c(mg) if callable(c) else jt.eval_ast(c, mg.geom.env) for c in comps]
 
 
 @dataclass
@@ -209,72 +214,42 @@ class MapGeometry:
     @cached_property
     def tension(self):
         """τ^α in the expanded form of the module docstring."""
-        n, m, g = self.n, self.m, self.geom
-        gamma = self.gamma_tilde
+        n, m, gamma, dphi = self.n, self.m, self.gamma_tilde, self.dphi
         xn = self.map.fs.xnames
-        expanded = []
-        for a in range(m):
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    t = self.dphi[a][i].deriv(xn[j])
-                    t = t + jt.sum_terms([gamma[a][b][c] * self.dphi[b][i] * self.dphi[c][j]
-                                          for b in range(m) for c in range(m)])
-                    for k in range(n):
-                        t = t - g.gamma[k][i][j] * self.dphi[a][k]
-                    t = t - g.P_i[i] * self.dphi[a][j]
-                    terms.append(g.ginv[i][j] * t)
-            expanded.append(jt.sum_terms(terms))
-        return expanded
+        return [self.geom.horizontal_trace(
+            [[dphi[a][i].deriv(xn[j]) + jt.sum_terms([gamma[a][b][c] * dphi[b][i] * dphi[c][j]
+                                                      for b in range(m) for c in range(m)])
+              for j in range(n)] for i in range(n)], dphi[a]) for a in range(m)]
 
     def structural_tension(self):
         """τ^α = g^{ij}(D_{δ_i}(dφ(δ_j)) − dφ(D_{δ_i}δ_j) − P_i dφ(δ_j)), built
         from the pullback connection; `check invariants` compares it with
         `tension`."""
-        n, m, g = self.n, self.m, self.geom
+        n, m = self.n, self.m
         Ddphi = [[self.cov_deriv([self.dphi[b][j] for b in range(m)], i)
                   for j in range(n)] for i in range(n)]
-        structural = []
-        for a in range(m):
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    t = Ddphi[i][j][a]
-                    for k in range(n):
-                        t = t - g.gamma[k][i][j] * self.dphi[a][k]
-                    t = t - g.P_i[i] * self.dphi[a][j]
-                    terms.append(g.ginv[i][j] * t)
-            structural.append(jt.sum_terms(terms))
-        return structural
+        return [self.geom.horizontal_trace([[Ddphi[i][j][a] for j in range(n)] for i in range(n)],
+                                           self.dphi[a]) for a in range(m)]
 
     # --- second-order operators -------------------------------------------------------
 
     def rough_laplacian(self, S):
-        """(Δ^{dφ}S)^α = g^{ij}(−D_iD_jS + Γ^k_{ij}D_kS + P_i D_jS)."""
-        n, g = self.n, self.geom
+        """(Δ^{dφ}S)^α = −g^{ij}(D_iD_jS − Γ^k_{ij}D_kS − P_i D_jS)."""
+        n = self.n
         DS = [self.cov_deriv(S, j) for j in range(n)]       # DS[j][a]
         DDS = [[self.cov_deriv(DS[j], i) for j in range(n)] for i in range(n)]
-        out = []
-        for a in range(self.m):
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    t = -DDS[i][j][a]
-                    for k in range(n):
-                        t = t + g.gamma[k][i][j] * DS[k][a]
-                    t = t + g.P_i[i] * DS[j][a]
-                    terms.append(g.ginv[i][j] * t)
-            out.append(jt.sum_terms(terms))
-        return out
+        return [-self.geom.horizontal_trace([[DDS[i][j][a] for j in range(n)] for i in range(n)],
+                                            [DS[k][a] for k in range(n)])
+                for a in range(self.m)]
 
     def curvature_trace(self, S):
         """g^{ij} R̃(dφ(δ_i), S) dφ(δ_j), the trace term of J; R̃ is applied
         once per (i, j) and every component is read from it."""
-        n, m, g = self.n, self.m, self.geom
+        n, m = self.n, self.m
         riem = self.riem_tilde
         cols = [[self.dphi[b][i] for b in range(m)] for i in range(n)]
         applied = [[riem_apply(riem, cols[i], S, cols[j], m) for j in range(n)] for i in range(n)]
-        return [jt.sum_terms([g.ginv[i][j] * applied[i][j][a] for i in range(n) for j in range(n)])
+        return [self.geom.contract([[applied[i][j][a] for j in range(n)] for i in range(n)])
                 for a in range(m)]
 
     def jacobi(self, S):
@@ -306,9 +281,8 @@ class MapGeometry:
         lhs = -0.5 * g.horizontal_laplacian_of(norm2)
         lap = self.rough_laplacian(tau)
         Dtau = [self.cov_deriv(tau, i) for i in range(self.n)]
-        rhs = -self.inner(lap, tau) + jt.sum_terms(
-            [g.ginv[i][j] * self.inner(Dtau[i], Dtau[j])
-             for i in range(self.n) for j in range(self.n)])
+        rhs = -self.inner(lap, tau) + g.contract(
+            [[self.inner(Dtau[i], Dtau[j]) for j in range(self.n)] for i in range(self.n)])
         return lhs.value - rhs.value
 
     # --- Hessian integrand ----------------------------------------------------------------

@@ -465,6 +465,8 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
 def divergence_theorem_check(fs: FinslerStructure, X, spec: QuadratureSpec,
                              f=None) -> dict:
     """∫_{BM} div X (and optionally ∫ Δf) on one geometry per node; both should vanish."""
+    if len(X) != fs.dim:
+        raise ConfigError(f"expected {fs.dim} vector field components, got {len(X)}")
     names = fs.xnames + fs.ynames
     X_asts = [ex.parse(c, names) for c in X]
     f_ast = None if f is None else ex.parse(f, names)

@@ -2,14 +2,16 @@
 index wiring fixed by the Ricci identity, its covariant derivative, sectional
 curvature, and the Euclidean / sphere presets.
 
-The curvature component table R[b][a][c][d] follows the hh-curvature pattern
-of the domain side,
+The curvature component table R[b][a][c][d] is
 
     R_b{}^a{}_{cd} = d_d gamma^a_bc - d_c gamma^a_bd
                      + gamma^h_bc gamma^a_hd - gamma^h_bd gamma^a_hc,
 
 so that commuting two horizontal covariant derivatives of a vector field Z
 produces exactly R_b{}^a{}_{cd} Z^b (checked numerically in the tests).
+
+`levi_civita` and `curvature_table` also give the domain's Chern–Rund Γ and
+hh curvature (`finsler`), with the adapted derivative δ in place of ∂.
 
 All combination helpers are generic over the scalar type: they run on plain
 numpy values for pointwise queries and on domain jets when the codomain
@@ -125,19 +127,25 @@ class MetricPartials:
     d0, d1, d2, d3 = (_level(k) for k in range(4))
 
 
-def christoffel_table(p: MetricPartials):
-    """gamma[a][b][c] = gamma^a_bc from the metric partial table."""
-    n = p.dim
-    ginv = invert_matrix(p.d0)
+def levi_civita(d1, ginv):
+    """gamma[a][b][c] = ½ g^{al}(d_c g_lb + d_b g_lc − d_l g_bc) from
+    d1[c][a][b] = d_c g_ab."""
+    n = len(ginv)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(b, n):
-                entry = 0.5 * jt.sum_terms([ginv[a][l] * (p.d1[c][l][b] + p.d1[b][l][c] - p.d1[l][b][c])
+                entry = 0.5 * jt.sum_terms([ginv[a][l] * (d1[c][l][b] + d1[b][l][c] - d1[l][b][c])
                                             for l in range(n)])
                 gamma[a][b][c] = entry
                 gamma[a][c][b] = entry
-    return gamma, ginv
+    return gamma
+
+
+def christoffel_table(p: MetricPartials):
+    """gamma[a][b][c] = gamma^a_bc from the metric partial table, and g^-1."""
+    ginv = invert_matrix(p.d0)
+    return levi_civita(p.d1, ginv), ginv
 
 
 def dchristoffel_table(p: MetricPartials, gamma, ginv):
@@ -166,7 +174,8 @@ def _dginv(ginv, dg):
 
 
 def curvature_table(gamma, dgamma, dim):
-    """riem[b][a][c][d] = R_b{}^a{}_{cd} (see module docstring for the pattern)."""
+    """riem[b][a][c][d] = R_b{}^a{}_{cd} from gamma and dgamma[d][a][b][c] =
+    d_d gamma^a_bc (see module docstring for the pattern)."""
     n = dim
     riem = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for b in range(n):

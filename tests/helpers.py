@@ -374,3 +374,99 @@ def reference_arithmetic():
     finally:
         for k, op in saved.items():
             setattr(jt.Jet, k, op)
+
+
+# --- expanded reference loops of the geometric formulas ----------------------------
+#
+# Each formula written out in full, one loop nest per quantity, with none of
+# the engine's shared kernels (`riemann.levi_civita`, `riemann.curvature_table`,
+# `DomainGeometry.horizontal_trace` and `contract`). They read the engine's δ,
+# g, g⁻¹, Γ, P_i, γ̃, dφ and pullback connection, so comparing them with the
+# engine checks the kernels' index wiring and summation order alone.
+
+def reference_chern_rund(geom):
+    """Γ^i_jk = ½ g^{ih}(δ_k g_hj + δ_j g_hk − δ_h g_jk)."""
+    n = geom.n
+    dg = [[[geom.delta(geom.g[a][b], c) for c in range(n)] for b in range(n)]
+          for a in range(n)]
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                entry = 0.5 * jt.sum_terms([geom.ginv[i][h]
+                                            * (dg[h][j][k] + dg[h][k][j] - dg[j][k][h])
+                                            for h in range(n)])
+                out[i][j][k] = entry
+                out[i][k][j] = entry
+    return out
+
+
+def reference_hh_curvature(geom):
+    """R_j^i_kl = δ_l Γ^i_jk − δ_k Γ^i_jl + Γ^h_jk Γ^i_hl − Γ^h_jl Γ^i_hk, as [j][i][k][l]."""
+    n, gamma = geom.n, reference_chern_rund(geom)
+    dgamma = [[[[geom.delta(gamma[i][j][k], l) for l in range(n)]
+                for k in range(n)] for j in range(n)] for i in range(n)]
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out[j][i][k][l] = (dgamma[i][j][k][l] - dgamma[i][j][l][k]
+                                       + jt.sum_terms([gamma[h][j][k] * gamma[i][h][l]
+                                                       - gamma[h][j][l] * gamma[i][h][k]
+                                                       for h in range(n)]))
+    return out
+
+
+def reference_horizontal_laplacian(geom, f):
+    """Δf = −g^{ij}(δ_iδ_j f − Γ^k_ij δ_k f − P_i δ_j f)."""
+    n = geom.n
+    df = [geom.delta(f, i) for i in range(n)]
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            term = geom.delta(df[j], i)
+            for k in range(n):
+                term = term - geom.gamma[k][i][j] * df[k]
+            term = term - geom.P_i[i] * df[j]
+            terms.append(geom.ginv[i][j] * term)
+    return -jt.sum_terms(terms)
+
+
+def reference_tension(mg):
+    """τ^α = g^{ij}(φ^α_{,ij} + γ̃^α_{βγ}φ^β_{,i}φ^γ_{,j} − Γ^k_{ij}φ^α_{,k} − P_i φ^α_{,j})."""
+    n, m, g = mg.n, mg.m, mg.geom
+    gamma, dphi, xn = mg.gamma_tilde, mg.dphi, mg.map.fs.xnames
+    out = []
+    for a in range(m):
+        terms = []
+        for i in range(n):
+            for j in range(n):
+                t = dphi[a][i].deriv(xn[j])
+                t = t + jt.sum_terms([gamma[a][b][c] * dphi[b][i] * dphi[c][j]
+                                      for b in range(m) for c in range(m)])
+                for k in range(n):
+                    t = t - g.gamma[k][i][j] * dphi[a][k]
+                t = t - g.P_i[i] * dphi[a][j]
+                terms.append(g.ginv[i][j] * t)
+        out.append(jt.sum_terms(terms))
+    return out
+
+
+def reference_rough_laplacian(mg, S):
+    """(Δ^{dφ}S)^α = g^{ij}(−D_iD_jS + Γ^k_{ij}D_kS + P_i D_jS)."""
+    n, g = mg.n, mg.geom
+    DS = [mg.cov_deriv(S, j) for j in range(n)]
+    DDS = [[mg.cov_deriv(DS[j], i) for j in range(n)] for i in range(n)]
+    out = []
+    for a in range(mg.m):
+        terms = []
+        for i in range(n):
+            for j in range(n):
+                t = -DDS[i][j][a]
+                for k in range(n):
+                    t = t + g.gamma[k][i][j] * DS[k][a]
+                t = t + g.P_i[i] * DS[j][a]
+                terms.append(g.ginv[i][j] * t)
+        out.append(jt.sum_terms(terms))
+    return out

@@ -264,6 +264,9 @@ NO_GEOMETRY = [
     ("tension", {"codomain": {"type": "sphere", "dimension": -2}}, []),
 ] + [case[:3] for case in NO_GEOMETRY] + [
     ("tension", {"codomain": {"type": "sphere", "radius": 1e200}}, []),   # ρ⁴ overflows
+    ("tension", {}, ["--point", "0.1,,0.2,1.0,0.5"]),
+    ("tension", {}, ["--point", "0.1,0.2,1.0,0.5,"]),
+    ("tension", {}, ["--point", ",0.1,0.2,1.0,0.5"]),
 ])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})

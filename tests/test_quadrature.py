@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from finvar import expressions as ex
+from finvar import finsler as fi
 from finvar import jets as jt
+from finvar import maps
 from finvar import quadrature as q
 from finvar.classical import ClassicalPipeline
-from finvar.errors import ConfigError, DomainEvalError, QuadratureError
-from finvar.finsler import BoxChart, DomainGeometry, FinslerStructure, TorusChart, _values
+from finvar.errors import ConfigError, DomainEvalError, ExpressionError, QuadratureError
+from finvar.finsler import (BoxChart, DomainGeometry, FinslerStructure, PointState, TorusChart,
+                            _values)
 from finvar.maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 from finvar.riemann import RiemannStructure
 
@@ -392,3 +395,55 @@ def test_strides_are_capped_at_the_cpu_count(monkeypatch):
     serial = q.energy(m, spec)
     assert (huge.value, huge.stderr) == (serial.value, serial.stderr)
     assert _no_children_and_fds() == fds
+
+
+# --- section and field lengths, and one parse per section source ---------------------------
+
+_P = PointState([0.3, 0.6], [0.8, -0.6])
+_SPEC = q.QuadratureSpec(x_resolution=2, y_samples=16, seed=1, workers=1)
+
+# entries where a pullback section (S) or a domain vector field (X) comes in
+LENGTH_ENTRIES = {
+    "pullback_cov_deriv": lambda m, S: maps.pullback_cov_deriv(m, PullbackSection(S), 0, _P),
+    "rough_laplacian": lambda m, S: maps.rough_laplacian(m, PullbackSection(S), _P),
+    "jacobi_apply": lambda m, S: maps.jacobi_apply(m, PullbackSection(S), _P),
+    "hessian_form": lambda m, S: q.hessian_form(m, PullbackSection(S), PullbackSection(S), _SPEC),
+    "divergence": lambda m, X: fi.divergence(m.fs, X, _P),
+    "divergence_theorem_check": lambda m, X: q.divergence_theorem_check(m.fs, X, _SPEC),
+}
+
+
+@pytest.mark.parametrize("components", [["sin(x1)"], ["sin(x1)", "cos(x2)", "x1*x2"]],
+                         ids=["too-few", "too-many"])
+@pytest.mark.parametrize("entry", sorted(LENGTH_ENTRIES))
+def test_a_section_or_field_of_the_wrong_length_is_a_config_error(entry, components):
+    # S² codomain and a 2-dimensional domain: both want 2 components
+    m = SmoothMap([f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"],
+                  _torus_euclid(), RiemannStructure.sphere(2, 1.0))
+    with pytest.raises(ConfigError, match=f"expected 2 .*components, got {len(components)}$"):
+        LENGTH_ENTRIES[entry](m, components)
+
+
+def test_a_section_parses_each_source_once(monkeypatch):
+    fs = _torus_euclid()
+    m = SmoothMap([f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"], fs,
+                  RiemannStructure.sphere(2, 1.0))
+    X = PullbackSection([f"sin(x1*{TWO_PI!r})", f"cos(x2*{TWO_PI!r})"])
+    Y = PullbackSection([f"cos(x1*{TWO_PI!r})", f"0.5*sin(x2*{TWO_PI!r}) + y1"])
+    parse, parsed = ex.parse, []
+
+    def counting(source, variables):
+        if isinstance(source, str):
+            parsed.append(source)
+        return parse(source, variables)
+
+    monkeypatch.setattr(ex, "parse", counting)
+    q.self_adjointness_check(m, X, Y, q.QuadratureSpec(x_resolution=4, y_samples=64, seed=29,
+                                                       workers=1))
+    assert sorted(parsed) == sorted(X.raw + Y.raw)        # once each, not once per node
+    # an undeclared name is still an ExpressionError, at every call
+    bad = PullbackSection(["z", "x1"])
+    mg = MapGeometry(m, DomainGeometry(fs, _P.x, _P.y, 4))
+    for _ in range(2):
+        with pytest.raises(ExpressionError, match="undeclared variable 'z'"):
+            bad.jets(mg)
