@@ -63,6 +63,11 @@ DEFAULT_TOLERANCES = {
     "slope_tau_low": 0.9, "slope_tau_high": 1.1,
     "slope_tau2_low": 1.8, "slope_tau2_high": 2.2,
 }
+#: Tolerances that bound a gap or a residual from above, so must be >= 0.
+_BOUNDS = ("harmonic", "biharmonic", "identity_routes", "structural", "weitzenbock",
+           "first_variation_rel", "second_variation_rel")
+#: Slope bands: tolerances.<band>_low must be below tolerances.<band>_high.
+_BANDS = ("slope_tau", "slope_tau2")
 
 
 def _require_keys(block: dict, allowed: set, where: str):
@@ -145,6 +150,14 @@ class RunConfig:
         self.tolerances = dict(DEFAULT_TOLERANCES)
         self.tolerances.update({k: _number(v, float, f"tolerances.{k}")
                                 for k, v in data.get("tolerances", {}).items()})
+        for key in _BOUNDS:
+            if self.tolerances[key] < 0:
+                raise ConfigError(f"tolerances.{key} must be >= 0, got {self.tolerances[key]!r}")
+        for band in _BANDS:
+            lo, hi = self.tolerances[f"{band}_low"], self.tolerances[f"{band}_high"]
+            if not lo < hi:
+                raise ConfigError(f"tolerances.{band}_low must be below tolerances.{band}_high, "
+                                  f"got [{lo!r}, {hi!r}]")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -22,8 +22,15 @@ Conventions (indices are 0-based in code):
     P_j^i_kl  = ∂Γ^i_jk/∂y^l
 
 Γ and R_j^i_kl are `riemann.levi_civita` and `riemann.curvature_table` with δ
-in place of ∂. Every trace g^{ij}(A_ij − Γ^k_ij B_k − P_i B_j) (Δf, τ, Δ^{dφ})
-goes through `DomainGeometry.horizontal_trace`, every g^{ij}T_ij through `contract`.
+in place of ∂, and δ runs once per mirrored pair of g_ab or Γ^i_jk (one jet).
+Every trace g^{ij}(A_ij − Γ^k_ij B_k − P_i B_j) (Δf, τ, Δ^{dφ}) goes through
+`DomainGeometry.horizontal_trace`, every g^{ij}T_ij through `contract`. The
+trace builds Γ^k_ij B_k and P_i B_j at the order of its sum, the least order
+of its terms, by cutting B to it first (`Jet.truncated`). Uncut, Γ^k_ij B_k
+would run one order above the sum in τ (whose order is P_i's) and in
+Δ^{dφ}S (whose order is A's), and so would P_i B_j in Δ^{dφ}S, computing rows
+the sum throws away. The cut moves no bit: a jet's rows of degree <= r do not
+depend on its higher rows (see `jets`).
 """
 
 from __future__ import annotations
@@ -328,6 +335,12 @@ class DomainGeometry:
     one. The (x, y) space appears only where an x-dependent jet meets a
     y-dependent one, such as βᵢ(x)·yⁱ (see `jets`). Read a jet's `partial`
     with a multi-index over its own space's names.
+
+    `at_order(r)` is a view of this geometry at a lower order r that shares
+    every member computed so far, each cut to its order in a fresh order-r
+    geometry: a quadrature node builds one geometry at the order of its
+    deepest read and runs its shallower rows (E₂ beside τ₂ or the Hessian) on
+    such a view, each at its least order.
     """
 
     def __init__(self, fs: FinslerStructure, x, y, order: int):
@@ -350,6 +363,31 @@ class DomainGeometry:
         self.env = jt.jet_space(fs.xnames, order).point_env(dict(zip(fs.xnames, x)))
         self.env.update(jt.jet_space(fs.ynames, order).point_env(
             {fs.ynames[i]: np.asarray(y[i], dtype=np.float64) for i in range(self.n)}))
+
+    def at_order(self, order: int) -> "DomainGeometry":
+        """This geometry at the lower jet order `order`, for reads that need
+        no more: a view that shares every member computed so far (F², g, g⁻¹,
+        det g, the spray, Γ, P, …), each jet cut by `self.order - order`
+        (`Jet.truncated`, no copy), and binds `env` to the variables cut to
+        `order`. A member whose cut would fall below order 0 is left out and
+        computed on its first read, which raises `OrderLimitError` where a
+        fresh geometry of that order would. Every value equals that of a
+        fresh geometry of that order, up to the sign of a zero (see `jets`),
+        and F² is not evaluated again."""
+        if order == self.order:
+            return self
+        if not 0 <= order < self.order:
+            raise ValueError(f"a view of an order-{self.order} geometry needs an order "
+                             f"in [0, {self.order}], got {order}")
+        cut = self.order - order
+        view = object.__new__(type(self))
+        view.fs, view.n, view.order, view.x, view.y = self.fs, self.n, order, self.x, self.y
+        view.env = {name: jet.truncated(order) for name, jet in self.env.items()}
+        for name, table in vars(self).items():
+            if isinstance(getattr(type(self), name, None), cached_property) \
+                    and jt.least_order(table) >= cut:
+                view.__dict__[name] = _cut_by(table, cut)
+        return view
 
     # -- fundamental jets ---------------------------------------------------------
 
@@ -412,12 +450,21 @@ class DomainGeometry:
         """Adapted derivative δ_i = ∂_i − G^j_i ∂̇_j applied to a jet."""
         return adapted_derivative(self.fs, self.Gj, jet, i)
 
+    def _delta_symmetric(self, table):
+        """out[c][a][b] = δ_c table[a][b] for a table symmetric in (a, b) whose
+        mirrored entries are one jet: one δ per pair, shared by both entries."""
+        n = self.n
+        out = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for c in range(n):
+            for a in range(n):
+                for b in range(a, n):
+                    out[c][a][b] = out[c][b][a] = self.delta(table[a][b], c)
+        return out
+
     @cached_property
     def gamma(self):
         """gamma[i][j][k] = Chern–Rund Γ^i_jk: `riemann.levi_civita` of δ_k g_ij."""
-        n = self.n
-        return levi_civita([[[self.delta(self.g[a][b], c) for b in range(n)] for a in range(n)]
-                            for c in range(n)], self.ginv)
+        return levi_civita(self._delta_symmetric(self.g), self.ginv)
 
     @cached_property
     def P(self):
@@ -449,10 +496,9 @@ class DomainGeometry:
     @cached_property
     def hh_curvature(self):
         """R[j][i][k][l] = R_j{}^i{}_{kl}: `riemann.curvature_table` of Γ and δ_l Γ^i_jk."""
-        n = self.n
-        return curvature_table(self.gamma, [[[[self.delta(self.gamma[i][j][k], l)
-                                               for k in range(n)] for j in range(n)]
-                                             for i in range(n)] for l in range(n)], n)
+        dgamma = [self._delta_symmetric(gamma_i) for gamma_i in self.gamma]   # [i][l][j][k]
+        return curvature_table(self.gamma, [[dgamma_i[l] for dgamma_i in dgamma]
+                                            for l in range(self.n)], self.n)
 
     @cached_property
     def hv_curvature(self):
@@ -483,8 +529,12 @@ class DomainGeometry:
         """`contract` of A_ij − Σ_k Γ^k_ij B_k − P_i B_j: the one trace behind
         Δf, τ and Δ^{dφ}, with A_ij the second derivative along δ_j then δ_i
         and B_k the first along δ_k. The torsion trace P_i pairs with the
-        outer index i."""
+        outer index i.
+
+        Γ·B and P·B are built at the order of T, the least of the orders of
+        A, Γ, P_i and B: each B_k is cut to it first (`jets.truncated`)."""
         n = self.n
+        B = jt.truncated(B, jt.least_order(A, B, self.gamma, self.P_i))
         T = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -499,6 +549,13 @@ class DomainGeometry:
         df = [self.delta(f, i) for i in range(self.n)]
         return -self.horizontal_trace([[self.delta(dfj, i) for dfj in df] for i in range(self.n)],
                                       df)
+
+
+def _cut_by(table, cut: int):
+    """A jet or nested list of jets, each cut `cut` orders below its own."""
+    if isinstance(table, jt.Jet):
+        return table.truncated(table.order - cut)
+    return [_cut_by(t, cut) for t in table]
 
 
 def _values(table):

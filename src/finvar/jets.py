@@ -56,6 +56,19 @@ space, order and batch shape. Neither changes a nonzero coefficient, since
 x + 0 = x. They can change only the sign of a zero coefficient, and 0 × inf
 or 0 × NaN, which is 0 on the skipped path where the kernel gives NaN.
 
+A row of degree d of a result reads only the operands' rows of degree <= d
+(<= d + 1 for `deriv`): a product row sums its own Leibniz pairs, in the same
+order and at the same place in the table of every order >= d, and a sum,
+a gather or a composition is row by row. So a jet's rows of degree <= r form a
+prefix that does not depend on its higher rows, and `Jet.truncated(r)`, a
+view of that prefix, gives every later operation the same rows bit for bit.
+A sum keeps the least order of its terms (`least_order`); where a term would
+be built above that order, the engine cuts a factor to the sum's order
+first, so no product computes rows the sum throws away (truncated Taylor
+propagation, Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+A cut can change only the sign of a zero coefficient, where the zero rules
+above skip a term or a factor of the cut jet that they ran on the uncut one.
+
 `AstEvaluator` evaluates a family of expression ASTs in one environment, each
 distinct node object once: ASTs that share subtrees share their jets.
 `eval_ast` evaluates one AST the same way, keeping only the values it reads
@@ -314,6 +327,19 @@ class Jet:
         """Full coefficient table {multi-index: plain partial} up to the effective order."""
         return {tuple(int(v) for v in e): c for e, c in zip(self.space.exps, self.c)}
 
+    def truncated(self, order: int) -> "Jet":
+        """This jet cut to effective order `order`: its graded prefix of rows,
+        a view with no copy and the same `zero` flag; the jet itself when it
+        is already of order <= `order`. Every row of an operation's result
+        reads only the operands' rows of at most its own degree (see the
+        module docstring), so a term cut to the order its sum keeps gives
+        that sum's rows bit for bit."""
+        if order >= self.order:
+            return self
+        if order < 0:
+            raise OrderLimitError(f"jet order {order} is below 0")
+        return Jet(self.space, self.c[:self.space.nrows[order]], order, self.zero)
+
     # --- arithmetic -----------------------------------------------------------
 
     def _align(self, other):
@@ -553,6 +579,19 @@ def sum_terms(terms):
     for t in terms[1:]:
         acc = acc + t
     return acc
+
+
+def least_order(*tables) -> int:
+    """The least effective order of the jets in `tables` (jets or nested
+    lists of jets): the order a sum or product of them keeps."""
+    return min(t.order if isinstance(t, Jet) else least_order(*t) for t in tables)
+
+
+def truncated(table, order: int):
+    """A jet or a nested list of jets, each cut to `order` (`Jet.truncated`)."""
+    if isinstance(table, Jet):
+        return table.truncated(order)
+    return [truncated(t, order) for t in table]
 
 
 # --- expression evaluation on jets ---------------------------------------------

@@ -30,6 +30,15 @@ end-to-end in the tests.
 τ, its structural form and Δ^{dφ} are `DomainGeometry.horizontal_trace` calls,
 and the other g^{ij} sums (but those of e(φ) and the Hessian integrand) are
 `DomainGeometry.contract` calls: this module reads neither Γ nor P_i.
+
+A sum keeps the least order of its terms, and no term is built above it:
+J's curvature trace is built at the order of Δ^{dφ}S, two below S's;
+`cov_deriv`'s connection term at the order of δ_iS, below φ_{,i}'s and S's;
+the Hessian integrand's R̃ and ∇R̃ terms at the order of J²V₂ (and
+`horizontal_trace` builds Γ·B and P·B at the order of its sum, see
+`finsler`). Each cuts a factor to that order first (`Jet.truncated`). The
+cut moves no bit: a jet's rows of degree <= r do not depend on its higher
+rows (see `jets`), and the sum reads no others.
 """
 
 from __future__ import annotations
@@ -197,12 +206,16 @@ class MapGeometry:
     # --- pullback connection ------------------------------------------------------
 
     def cov_deriv(self, S, i: int):
-        """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ}(φ) φ^β_{,i} S^γ."""
-        gamma = self.gamma_tilde
-        return [self.geom.delta(S[a], i)
-                + jt.sum_terms([gamma[a][b][c] * self.dphi[b][i] * S[c]
-                                for b in range(self.m) for c in range(self.m)])
-                for a in range(self.m)]
+        """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ}(φ) φ^β_{,i} S^γ, the connection
+        term built at the order of δ_i S^α (φ^β_{,i} cut to it first)."""
+        gamma, m = self.gamma_tilde, self.m
+        out = []
+        for a in range(m):
+            dS = self.geom.delta(S[a], i)
+            dphi = [self.dphi[b][i].truncated(dS.order) for b in range(m)]
+            out.append(dS + jt.sum_terms([gamma[a][b][c] * dphi[b] * S[c]
+                                          for b in range(m) for c in range(m)]))
+        return out
 
     def inner(self, S, T):
         """⟨S, T⟩ = g̃_{αβ}(φ) S^α T^β."""
@@ -253,9 +266,10 @@ class MapGeometry:
                 for a in range(m)]
 
     def jacobi(self, S):
-        """(J S)^α = −(Δ^{dφ}S)^α − (curvature trace)^α."""
+        """(J S)^α = −(Δ^{dφ}S)^α − (curvature trace)^α, the curvature trace
+        built at the order of Δ^{dφ}S (S cut to it first)."""
         lap = self.rough_laplacian(S)
-        tr = self.curvature_trace(S)
+        tr = self.curvature_trace(jt.truncated(S, jt.least_order(lap)))
         return [-lap[a] - tr[a] for a in range(self.m)]
 
     @cached_property
@@ -294,22 +308,27 @@ class MapGeometry:
 
         The derivative index of the last two terms pairs with j; D_{δ_i}R̃
         pulls back to φ^μ_{,i} ∇_μ R̃ and D̃_τ to τ^μ ∇_μ R̃.
+
+        The R̃ and ∇R̃ terms and the pairing with V₁ are built at the order
+        of J²V₂: τ, V₁, V₂ and dφ are cut to it, and τ and V₂ to one above it
+        before D_{δ_j}.
         """
         n, m, g = self.n, self.m, self.geom
-        tau = self.tension
         riem = self.riem_tilde
         nabla = self.nabla_riem_tilde
         JJ = self.jacobi(self.jacobi(V2))
-        total = [jj + r for jj, r in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
-        Dtau = [self.cov_deriv(tau, j) for j in range(n)]
-        DV2 = [self.cov_deriv(V2, j) for j in range(n)]
+        r = jt.least_order(JJ)
+        Dtau = [self.cov_deriv(jt.truncated(self.tension, r + 1), j) for j in range(n)]
+        DV2 = [self.cov_deriv(jt.truncated(V2, r + 1), j) for j in range(n)]
+        tau, V1, V2, dphi = (jt.truncated(t, r) for t in (self.tension, V1, V2, self.dphi))
+        total = [jj + t for jj, t in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
         for i in range(n):
-            dphi_i = [self.dphi[b][i] for b in range(m)]
+            dphi_i = [dphi[b][i] for b in range(m)]
             # pulled-back curvature derivative directions
             dir_tau = tau
             dir_i = dphi_i
             for j in range(n):
-                dphi_j = [self.dphi[b][j] for b in range(m)]
+                dphi_j = [dphi[b][j] for b in range(m)]
                 t1 = nabla_riem_apply(nabla, dir_tau, V2, dphi_i, dphi_j, m)
                 t2 = nabla_riem_apply(nabla, dir_i, dphi_j, tau, V2, m)
                 t3 = riem_apply(riem, V2, dphi_i, Dtau[j], m)

@@ -60,9 +60,10 @@ class QuadratureSpec:
     Estimates are bitwise identical for any worker count. Side effects of a
     callable integrand in a child's stride do not come back to the caller.
     Without `os.fork` the nodes run serially. Two workers against one on a
-    2-core machine, medians of six: 2.64 s vs 4.68 s on a first-variation
-    check at 8×8 nodes × 128 fibers, 0.82 s vs 1.42 s on a bienergy at 4×4 ×
-    2048. Every integral and every check draws each node's fibers once.
+    2-core machine, medians of six interleaved runs: 1.09 s vs 1.81 s on a
+    first-variation check at 8×8 nodes × 128 fibers, 0.29 s vs 0.54 s on a
+    bienergy at 4×4 × 2048. Every integral and every check draws each node's
+    fibers once.
     """
 
     x_resolution: int = 16
@@ -366,7 +367,10 @@ class VariationCheck:
 def first_variation_check(family: VariationFamily, spec: QuadratureSpec,
                           h: float = 1e-3, richardson: bool = False) -> VariationCheck:
     """dE₂/dε|₀ by central differences against ∫⟨τ₂, V⟩, in one pass: the E₂
-    rows at ±h (and ±h/2) and the ⟨τ₂, V⟩ row share each node's samples and geometry."""
+    rows at ±h (and ±h/2) and the ⟨τ₂, V⟩ row share each node's samples and
+    geometry. The ⟨τ₂, V⟩ row runs first, on the node's order-6 geometry, and
+    the E₂ rows then on its order-4 view (`DomainGeometry.at_order`), which
+    shares everything the first row computed."""
     base = family.base
     steps = (h, h / 2) if richardson else (h,)
     maps = [family.map_at(eps) for step in steps for eps in (step, -step)]
@@ -376,8 +380,8 @@ def first_variation_check(family: VariationFamily, spec: QuadratureSpec,
         geom = DomainGeometry(base.fs, x, y, order_for("tension", "bitension"))
         mg = MapGeometry(base, geom)
         V = [jt.eval_ast(a, geom.env) for a in v_asts]
-        return [*_bienergy_rows(maps, geom),
-                _values(mg.inner(mg.bitension, V)) * _values(geom.detg)]
+        variation = _values(mg.inner(mg.bitension, V)) * _values(geom.detg)
+        return [*_bienergy_rows(maps, geom.at_order(ORDER_TABLE["tension"])), variation]
 
     *e2, est = _assemble(node_rows, base.fs, spec, structure_hash=_map_hash(base))
     central = [(e2[2 * k].value - e2[2 * k + 1].value) / (2 * step)
@@ -430,7 +434,8 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
                            h: float = 1e-3) -> VariationCheck:
     """∂²E₂/∂ε₁∂ε₂ by the 4-corner mixed central difference against the
     integrated Hessian form; also reports the H(V₁,V₂) − H(V₂,V₁) gap. One pass: the
-    four E₂ corners and both Hessian rows share each node's samples and geometry."""
+    four E₂ corners and both Hessian rows share each node's samples and geometry,
+    the Hessian rows first at order 6 and the corners then on the order-4 view."""
     base = family.base
     # prerequisite: base map numerically biharmonic at sample points
     rng = np.random.default_rng(99)
@@ -450,8 +455,8 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
 
     def node_rows(x, y):
         geom = DomainGeometry(base.fs, x, y, order_for("tension", "hessian"))
-        return [*_bienergy_rows(corners, geom),
-                *_hessian_rows(base, [(V1, V2), (V2, V1)], geom)]
+        hessian = _hessian_rows(base, [(V1, V2), (V2, V1)], geom)
+        return [*_bienergy_rows(corners, geom.at_order(ORDER_TABLE["tension"])), *hessian]
 
     pp, pm, mp, mm, h12, h21 = _assemble(node_rows, base.fs, spec,
                                          structure_hash=_map_hash(base))

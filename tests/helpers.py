@@ -2,11 +2,14 @@
 oracles for jet coefficients."""
 
 import contextlib
+import math
 
 import numpy as np
 
 from finvar import expressions as ex
 from finvar import jets as jt
+from finvar.finsler import DomainGeometry, FinslerStructure, TorusChart
+from finvar.maps import SmoothMap
 
 
 def random_expression(rng, names, depth=3):
@@ -470,3 +473,113 @@ def reference_rough_laplacian(mg, S):
                 terms.append(g.ginv[i][j] * t)
         out.append(jt.sum_terms(terms))
     return out
+
+
+# --- the map operators as they were before their terms were cut ---------------------
+#
+# Each operator with every term built at the orders of its inputs, as the
+# engine built it before `Jet.truncated` cut the terms of a sum to the sum's
+# order: the oracle for those cuts, row by row.
+
+def reference_cov_deriv(mg, S, i):
+    """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ} φ^β_{,i} S^γ, the connection term uncut."""
+    gamma, m = mg.gamma_tilde, mg.m
+    return [mg.geom.delta(S[a], i)
+            + jt.sum_terms([gamma[a][b][c] * mg.dphi[b][i] * S[c]
+                            for b in range(m) for c in range(m)])
+            for a in range(m)]
+
+
+def reference_horizontal_trace(geom, A, B):
+    """g^{ij}(A_ij − Σ_k Γ^k_ij B_k − P_i B_j) with Γ·B and P·B uncut."""
+    n = geom.n
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            t = A[i][j]
+            for k in range(n):
+                t = t - geom.gamma[k][i][j] * B[k]
+            terms.append(geom.ginv[i][j] * (t - geom.P_i[i] * B[j]))
+    return jt.sum_terms(terms)
+
+
+def reference_jacobi(mg, S):
+    """JS = −Δ^{dφ}S − g^{ij}R̃(dφ(δ_i), S)dφ(δ_j), the curvature trace at S's order."""
+    from finvar.riemann import riem_apply
+
+    n, m, g = mg.n, mg.m, mg.geom
+    DS = [reference_cov_deriv(mg, S, j) for j in range(n)]
+    DDS = [[reference_cov_deriv(mg, DS[j], i) for j in range(n)] for i in range(n)]
+    lap = [-reference_horizontal_trace(g, [[DDS[i][j][a] for j in range(n)] for i in range(n)],
+                                       [DS[k][a] for k in range(n)]) for a in range(m)]
+    cols = [[mg.dphi[b][i] for b in range(m)] for i in range(n)]
+    applied = [[riem_apply(mg.riem_tilde, cols[i], S, cols[j], m) for j in range(n)]
+               for i in range(n)]
+    tr = [jt.sum_terms([g.ginv[i][j] * applied[i][j][a] for i in range(n) for j in range(n)])
+          for a in range(m)]
+    return [-lap[a] - tr[a] for a in range(m)]
+
+
+def reference_hessian_integrand(mg, V1, V2):
+    """The Hessian integrand of `MapGeometry.hessian_integrand`, every term at
+    the orders of its inputs."""
+    from finvar.riemann import nabla_riem_apply, riem_apply
+
+    n, m, g = mg.n, mg.m, mg.geom
+    tau, riem, nabla = mg.tension, mg.riem_tilde, mg.nabla_riem_tilde
+    JJ = reference_jacobi(mg, reference_jacobi(mg, V2))
+    total = [jj + r for jj, r in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
+    Dtau = [reference_cov_deriv(mg, tau, j) for j in range(n)]
+    DV2 = [reference_cov_deriv(mg, V2, j) for j in range(n)]
+    for i in range(n):
+        dphi_i = [mg.dphi[b][i] for b in range(m)]
+        for j in range(n):
+            dphi_j = [mg.dphi[b][j] for b in range(m)]
+            t1 = nabla_riem_apply(nabla, tau, V2, dphi_i, dphi_j, m)
+            t2 = nabla_riem_apply(nabla, dphi_i, dphi_j, tau, V2, m)
+            t3 = riem_apply(riem, V2, dphi_i, Dtau[j], m)
+            t4 = riem_apply(riem, dphi_i, tau, DV2[j], m)
+            for a in range(m):
+                total[a] = total[a] + g.ginv[i][j] * (t1[a] - t2[a] + 2.0 * t3[a] - 2.0 * t4[a])
+    return mg.inner(V1, total)
+
+
+# --- domains, points and maps of the formula tests -----------------------------------
+
+TWO_PI = 2 * math.pi
+GEN_CODOMAIN = [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"],
+                ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]]
+
+
+_CHART = TorusChart((1.0, 1.0))
+DOMAINS = {
+    "randers": lambda: FinslerStructure.randers(
+        [["1", "0"], ["0", "1"]], [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
+        chart=_CHART),
+    "perturbed": lambda: FinslerStructure.perturbed(
+        [["1 + x2^2/4", "x1*x2/8"], ["x1*x2/8", "1 + x1^2/4"]],
+        "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2, chart=_CHART, scale=0.05),
+    "euclidean": lambda: FinslerStructure.euclidean(2, chart=_CHART),
+    "custom": lambda: FinslerStructure.custom(
+        "sqrt(y1^2 + y2^2)*(1 + 0.1*sin(x1)*cos(x2)) + 0.1*sin(x2)*y1 + 0.05*y2*cos(x1)",
+        2, chart=_CHART),
+    "custom-n3": lambda: FinslerStructure.custom(
+        "sqrt(y1^2 + y2^2 + y3^2)*(1 + 0.1*sin(x1)*cos(x2) + 0.05*x3)"
+        " + 0.1*sin(x2)*y1 + 0.05*y3*cos(x1)", 3, chart=TorusChart((1.0, 1.0, 1.0))),
+}
+BATCHES = {"batch-free": [0.8, -0.6, 0.3],
+           "batched": [[0.8, -0.3, 1.1], [-0.6, 0.9, 0.2], [0.3, 0.1, -0.7]]}
+
+
+def formula_geometry(domain, batch, order):
+    """The domain geometry of DOMAINS[domain] at one base point, over BATCHES[batch]."""
+    fs = DOMAINS[domain]()
+    n = fs.dim
+    return DomainGeometry(fs, [0.31, 0.77, 0.12][:n], BATCHES[batch][:n], order)
+
+
+def formula_map(fs, rs):
+    """A periodic map from the domain `fs` into the 2-dimensional codomain `rs`."""
+    x = fs.xnames
+    return SmoothMap([f"0.8 + 0.3*cos({x[0]}*{TWO_PI!r}) + 0.1*sin({x[-1]}*{TWO_PI!r})",
+                      f"0.2*sin({x[0]}*{TWO_PI!r}) + 0.25*cos({x[1]}*{TWO_PI!r})"], fs, rs)

@@ -218,6 +218,43 @@ NO_GEOMETRY = [
 ]
 
 
+# tolerances that bound nothing, and the message each must give
+MEANINGLESS_TOLERANCES = [
+    ("check", {"tolerances": {"weitzenbock": -1}}, ["weitzenbock"],
+     "tolerances.weitzenbock must be >= 0, got -1.0"),
+    ("tension", {"tolerances": {"harmonic": -1}}, [], "tolerances.harmonic must be >= 0, got -1.0"),
+    ("bitension", {"tolerances": {"biharmonic": -1e-9}}, [],
+     "tolerances.biharmonic must be >= 0, got -1e-09"),
+    ("check", {"tolerances": {"identity_routes": -0.5}}, ["identity"],
+     "tolerances.identity_routes must be >= 0, got -0.5"),
+    ("check", {"tolerances": {"structural": -1}}, ["invariants"],
+     "tolerances.structural must be >= 0, got -1.0"),
+    ("check", {"tolerances": {"first_variation_rel": -1}}, ["first-variation"],
+     "tolerances.first_variation_rel must be >= 0, got -1.0"),
+    ("check", {"tolerances": {"second_variation_rel": -1}}, ["second-variation"],
+     "tolerances.second_variation_rel must be >= 0, got -1.0"),
+    ("identity-analysis", {"tolerances": {"slope_tau_low": 1.1, "slope_tau_high": 0.9}}, [],
+     "tolerances.slope_tau_low must be below tolerances.slope_tau_high, got [1.1, 0.9]"),
+    ("identity-analysis", {"tolerances": {"slope_tau2_low": 2.5}}, [],
+     "tolerances.slope_tau2_low must be below tolerances.slope_tau2_high, got [2.5, 2.2]"),
+    ("identity-analysis", {"tolerances": {"slope_tau_high": 0.9, "slope_tau_low": 0.9}}, [],
+     "tolerances.slope_tau_low must be below tolerances.slope_tau_high, got [0.9, 0.9]"),
+]
+
+
+@pytest.mark.parametrize("command, change, extra, message", MEANINGLESS_TOLERANCES)
+def test_a_meaningless_tolerance_names_the_key(tmp_path, capsys, command, change, extra,
+                                               message):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
+    assert main([command, "--config", cfg, *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_zero_tolerance_is_accepted(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, "tolerances": {"harmonic": 0}})
+    assert main(["tension", "--config", cfg, "--point", "0.1,0.2,1,0"]) in (0, 1)
+
+
 @pytest.mark.parametrize("command, change, extra", [
     ("geom", {}, ["--point", "0.1,0.2,abc,1"]),
     ("energy", {"dimension": "two"}, []),
@@ -267,7 +304,7 @@ NO_GEOMETRY = [
     ("tension", {}, ["--point", "0.1,,0.2,1.0,0.5"]),
     ("tension", {}, ["--point", "0.1,0.2,1.0,0.5,"]),
     ("tension", {}, ["--point", ",0.1,0.2,1.0,0.5"]),
-])
+] + [case[:3] for case in MEANINGLESS_TOLERANCES])
 def test_malformed_input_is_exit_2_with_one_line(tmp_path, capsys, command, change, extra):
     cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
     assert main([command, "--config", cfg, *extra]) == 2

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finvar import expressions as ex
 from finvar import finsler as fn
@@ -34,6 +36,35 @@ def test_roundtrip_through_source():
         node = ex.parse(src, NAMES)
         again = ex.parse(ex.to_source(node), NAMES)
         assert ex.evaluate(node, env) == pytest.approx(ex.evaluate(again, env), rel=1e-15)
+
+
+def _bits(value):
+    """Float hex of a value: NaN matches NaN, and -0.0 and 0.0 differ."""
+    return float(value).hex()
+
+
+def _points(rng, count=3):
+    return [{name: float(rng.uniform(-0.8, 0.8)) for name in NAMES} for _ in range(count)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 4))
+def test_random_expressions_round_trip_through_source(seed, depth):
+    rng = np.random.default_rng(seed)
+    node = random_expression(rng, NAMES, depth)
+    once = ex.parse(ex.to_source(node), NAMES)
+    twice = ex.parse(ex.to_source(once), NAMES)
+    assert twice == once and ex.to_source(twice) == ex.to_source(once)
+    for env in _points(rng):
+        assert _bits(ex.evaluate(once, env)) == _bits(ex.evaluate(node, env))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 4))
+def test_constant_fold_keeps_the_value_of_random_expressions(seed, depth):
+    rng = np.random.default_rng(seed)
+    node = random_expression(rng, NAMES, depth)
+    folded = ex.constant_fold(node)
+    for env in _points(rng):
+        assert _bits(ex.evaluate(folded, env)) == _bits(ex.evaluate(node, env))
 
 
 def test_evaluate_matches_python():

@@ -6,38 +6,16 @@ as float hex; zeros match by value, because the reference Δ^{dφ} negates each
 term where the engine negates the sum, which may flip the sign of an exact
 zero."""
 
-import math
-
 import numpy as np
 import pytest
 
-from finvar.finsler import DomainGeometry, FinslerStructure, TorusChart, _field_jet, _values
-from finvar.maps import MapGeometry, PullbackSection, SmoothMap
+from finvar.finsler import _field_jet, _values
+from finvar.maps import MapGeometry, PullbackSection
 from finvar.riemann import RiemannStructure
 
-from helpers import (reference_chern_rund, reference_horizontal_laplacian,
+from helpers import (BATCHES, DOMAINS, GEN_CODOMAIN, formula_geometry, formula_map,
+                     reference_chern_rund, reference_horizontal_laplacian,
                      reference_hh_curvature, reference_rough_laplacian, reference_tension)
-
-TWO_PI = 2 * math.pi
-CHART = TorusChart((1.0, 1.0))
-GEN_CODOMAIN = [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"],
-                ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]]
-
-DOMAINS = {
-    "randers": lambda: FinslerStructure.randers(
-        [["1", "0"], ["0", "1"]], [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2,
-        chart=CHART),
-    "perturbed": lambda: FinslerStructure.perturbed(
-        [["1 + x2^2/4", "x1*x2/8"], ["x1*x2/8", "1 + x1^2/4"]],
-        "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2, chart=CHART, scale=0.05),
-    "euclidean": lambda: FinslerStructure.euclidean(2, chart=CHART),
-    "custom-n3": lambda: FinslerStructure.custom(
-        "sqrt(y1^2 + y2^2 + y3^2)*(1 + 0.1*sin(x1)*cos(x2) + 0.05*x3)"
-        " + 0.1*sin(x2)*y1 + 0.05*y3*cos(x1)", 3, chart=TorusChart((1.0, 1.0, 1.0))),
-}
-
-BATCHES = {"batch-free": [0.8, -0.6, 0.3],
-           "batched": [[0.8, -0.3, 1.1], [-0.6, 0.9, 0.2], [0.3, 0.1, -0.7]]}
 
 
 def _bits(table):
@@ -45,16 +23,13 @@ def _bits(table):
     return [0.0 if v == 0 else float(v).hex() for v in np.ravel(_values(table))]
 
 
+def _hex(table):
+    """Float hex of every entry, the sign of a zero included."""
+    return [float(v).hex() for v in np.ravel(_values(table))]
+
+
 def _geometry(domain, batch):
-    fs = DOMAINS[domain]()
-    n = fs.dim
-    return DomainGeometry(fs, [0.31, 0.77, 0.12][:n], BATCHES[batch][:n], 6)
-
-
-def _map(fs, rs):
-    x = fs.xnames
-    return SmoothMap([f"0.8 + 0.3*cos({x[0]}*{TWO_PI!r}) + 0.1*sin({x[-1]}*{TWO_PI!r})",
-                      f"0.2*sin({x[0]}*{TWO_PI!r}) + 0.25*cos({x[1]}*{TWO_PI!r})"], fs, rs)
+    return formula_geometry(domain, batch, 6)
 
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))
@@ -77,9 +52,32 @@ def test_tension_and_rough_laplacian_match_the_expanded_loops(domain, batch, cod
     geom = _geometry(domain, batch)
     rs = (RiemannStructure.sphere(2, 1.0) if codomain == "sphere"
           else RiemannStructure.custom(GEN_CODOMAIN, 2))
-    mg = MapGeometry(_map(geom.fs, rs), geom)
+    mg = MapGeometry(formula_map(geom.fs, rs), geom)
     assert _bits(mg.tension) == _bits(reference_tension(mg))
     x, y = geom.fs.xnames, geom.fs.ynames
     S = PullbackSection([f"sin({x[0]}) + 0.3*{y[0]}*{y[1]}", f"cos({x[1]})*{y[0]}"]).jets(mg)
     assert _bits(mg.rough_laplacian(S)) == _bits(reference_rough_laplacian(mg, S))
     assert _bits(mg.rough_laplacian(mg.tension)) == _bits(reference_rough_laplacian(mg, mg.tension))
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("domain, calls", [("randers", (6, 12)), ("custom-n3", (18, 54))])
+def test_gamma_and_hh_apply_delta_once_per_mirrored_pair(domain, batch, calls):
+    # g_ab and g_ba are one jet, and so are Γ^i_jk and Γ^i_kj: one δ serves both
+    geom = _geometry(domain, batch)
+    geom.g, geom.ginv, geom.Gj       # built before the count: they apply no δ
+    count = [0]
+    delta = geom.delta
+
+    def counting(jet, i):
+        count[0] += 1
+        return delta(jet, i)
+
+    geom.delta = counting
+    geom.gamma
+    assert count[0] == calls[0]
+    geom.hh_curvature
+    assert count[0] == calls[0] + calls[1]
+    del geom.delta
+    assert _hex(geom.gamma) == _hex(reference_chern_rund(geom))
+    assert _hex(geom.hh_curvature) == _hex(reference_hh_curvature(geom))
