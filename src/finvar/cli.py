@@ -25,7 +25,7 @@ from .errors import (ChartError, ConfigError, DomainEvalError, ExpressionError,
                      OrderLimitError, QuadratureError, SingularMetricError)
 from .finsler import ORDER_TABLE, DomainGeometry, PointState, _values, order_for
 from .identity import IdentityGeometry, identity_tension, linearized_scaling
-from .maps import MapGeometry, PullbackSection
+from .maps import MapGeometry, PullbackSection, tension_report
 from .report import FAIL, INFO, PASS, Report, config_hash
 
 SUITES = ("first-variation", "second-variation", "self-adjoint", "weitzenbock",
@@ -102,20 +102,16 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
     tau_max = 0.0
     tau2_max = 0.0
     for x, y in points:
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, order))
-        tau = _values(mg.tension)
-        sq = float(_values(mg.inner(mg.tension, mg.tension)))
-        _finite("tension", x, y, tau, sq)
-        norm = float(np.sqrt(max(0.0, sq)))
+        report = tension_report(MapGeometry(map, DomainGeometry(map.fs, x, y, order)),
+                                with_bitension)
+        _finite("tension", x, y, report.tau, report.tau_norm)
+        norm = float(report.tau_norm)
         tau_max = max(tau_max, norm)
-        detail = f"x={_fmt(x)} y={_fmt(y)} tau={_fmt(tau)}"
+        detail = f"x={_fmt(x)} y={_fmt(y)} tau={_fmt(report.tau)}"
         if with_bitension:
-            tau2 = _values(mg.bitension)
-            sq2 = float(_values(mg.inner(mg.bitension, mg.bitension)))
-            _finite("bitension", x, y, tau2, sq2)
-            n2 = float(np.sqrt(max(0.0, sq2)))
-            tau2_max = max(tau2_max, n2)
-            detail += f" tau2={_fmt(tau2)}"
+            _finite("bitension", x, y, report.tau2, report.tau2_norm)
+            tau2_max = max(tau2_max, float(report.tau2_norm))
+            detail += f" tau2={_fmt(report.tau2)}"
         rep.add("sample", INFO, value=norm, detail=detail)
     tol = cfg.tolerances["harmonic"]
     rep.add("harmonic", INFO, value=tau_max, bound=tol,

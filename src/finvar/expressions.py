@@ -19,13 +19,21 @@ family of expressions (a metric and all its partials) as one DAG: each
 distinct node object is derived or folded once and its result reused,
 keyed by identity. `differentiate` and `constant_fold` are one-shot calls of
 the same code.
+
+`CHILDREN` names each node's operands and `apply` holds the grammar's numeric
+rules on plain operands. `evaluate` is a tree walk over `apply`, `Evaluator`
+a DAG walk; `jets.AstEvaluator` is an `Evaluator` that runs jet arithmetic
+where an operand is a jet, so plain numbers follow one set of rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .errors import ExpressionError
+
+import numpy as np
+
+from .errors import DomainEvalError, ExpressionError
 
 SMOOTH_FUNCS = ("sqrt", "exp", "log", "sin", "cos", "tan", "atan")
 _REJECTED_FUNCS = ("abs", "min", "max", "sign")
@@ -64,6 +72,9 @@ class Func:
 
 
 Node = Const | Var | BinOp | Pow | Func
+
+# the operand fields of each operator node, in evaluation order
+CHILDREN = {BinOp: ("left", "right"), Pow: ("base",), Func: ("arg",)}
 
 
 # --- tokenizer / parser ------------------------------------------------------
@@ -252,14 +263,10 @@ def free_vars(node: Node) -> frozenset[str]:
         seen.add(id(node))
         if isinstance(node, Var):
             names.add(node.name)
-        elif isinstance(node, BinOp):
-            stack += (node.left, node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Func):
-            stack.append(node.arg)
         elif not isinstance(node, Const):
-            raise TypeError(f"not an AST node: {node!r}")
+            if type(node) not in CHILDREN:
+                raise TypeError(f"not an AST node: {node!r}")
+            stack += (getattr(node, f) for f in CHILDREN[type(node)])
     return frozenset(names)
 
 
@@ -446,23 +453,11 @@ def substitute(node: Node, bindings: dict) -> Node:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate(node: Node, env: dict):
-    """Plain numeric evaluation (floats or numpy arrays in `env`).
-
-    Jet-valued evaluation lives in finvar.jets; this is the cheap path for
-    validation sampling and quadrature integrands that need only values.
-    """
-    import numpy as np
-
-    from .errors import DomainEvalError
-
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
+def apply(node: Node, *operands):
+    """The value of the operator node `node` on the plain values (floats or
+    NumPy arrays) of its operands, in `CHILDREN` order."""
     if isinstance(node, BinOp):
-        a = evaluate(node.left, env)
-        b = evaluate(node.right, env)
+        a, b = operands
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -473,7 +468,7 @@ def evaluate(node: Node, env: dict):
             raise DomainEvalError("division by zero")
         return a / b
     if isinstance(node, Pow):
-        base = evaluate(node.base, env)
+        (base,) = operands
         p = node.exponent
         if float(p).is_integer():
             return np.power(base, int(p)) if p >= 0 else 1.0 / np.power(base, -int(p))
@@ -481,11 +476,70 @@ def evaluate(node: Node, env: dict):
             raise DomainEvalError("real power of a non-positive base")
         return np.power(base, p)
     if isinstance(node, Func):
-        arg = evaluate(node.arg, env)
+        (arg,) = operands
         if node.name in ("sqrt", "log") and not np.all(np.asarray(arg) > 0):
             raise DomainEvalError(f"{node.name} of a non-positive value")
         return getattr(np, {"atan": "arctan"}.get(node.name, node.name))(arg)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def evaluate(node: Node, env: dict):
+    """Plain numeric evaluation (floats or numpy arrays in `env`), a tree
+    walk: the cheap path for validation sampling and quadrature integrands
+    that need only values. A shared subtree is evaluated at each read."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    return apply(node, *[evaluate(getattr(node, f), env) for f in CHILDREN.get(type(node), ())])
+
+
+class Evaluator:
+    """Values of a family of ASTs in one environment, each distinct node
+    object computed once (`_compute`) and kept under its identity, never
+    dataclass equality, which would merge `Const(0.0)` with `Const(-0.0)`.
+    A node's value is a pure function of its operands', so sharing changes
+    no bit. Given `root`, it serves that AST and keeps only the nodes read
+    more than once: a tree then holds no more values at a time than a
+    recursive walk, which matters for values batched over many fibers.
+    """
+
+    def __init__(self, env: dict, root=None):
+        self.env = env
+        self._memo: dict = {}     # id(node) -> (node, value)
+        self._shared = None if root is None else _read_twice(root)
+
+    def __call__(self, node):
+        return self._eval(node)
+
+    def _eval(self, node):
+        hit = self._memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        value = self._compute(node)
+        if self._shared is None or id(node) in self._shared:
+            self._memo[id(node)] = (node, value)
+        return value
+
+    def _compute(self, node):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return self.env[node.name]
+        return apply(node, *[self._eval(getattr(node, f)) for f in CHILDREN.get(type(node), ())])
+
+
+def _read_twice(root) -> set:
+    """The ids of the node objects that the AST `root` reads more than once."""
+    seen, shared, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+            continue
+        seen.add(id(node))
+        stack.extend(getattr(node, f) for f in CHILDREN.get(type(node), ()))
+    return shared
 
 
 def constant_fold(node: Node) -> Node:

@@ -204,11 +204,16 @@ class FinslerStructure:
 
     # --- plain evaluation -------------------------------------------------------
 
+    def evaluate(self, ast, x, y):
+        """The AST in x and y at the point (x, y) with plain numerics: x and
+        y each hold `dim` components, scalars or batches that broadcast."""
+        env = dict(zip(self.xnames, x))
+        env.update(zip(self.ynames, y))
+        return ex.evaluate(ast, env)
+
     def f2_value(self, x, y):
         """F²(x, y) with plain numerics; x components scalar, y may be batched."""
-        env = {self.xnames[i]: x[i] for i in range(self.dim)}
-        env.update({self.ynames[i]: y[i] for i in range(self.dim)})
-        return ex.evaluate(self.f2_ast, env)
+        return self.evaluate(self.f2_ast, x, y)
 
     def f_value(self, x, y):
         f2 = self.f2_value(x, y)
@@ -240,9 +245,7 @@ class FinslerStructure:
         lams = (0.5, 2.0, 7.0)
 
         def at(ast, yv):
-            env = dict(zip(self.xnames, x))
-            env.update(zip(self.ynames, yv))
-            return np.broadcast_to(ex.evaluate(ast, env), (samples,))
+            return np.broadcast_to(self.evaluate(ast, x, yv), (samples,))
 
         with np.errstate(all="ignore"):
             f2 = at(self.f2_ast, y)
@@ -421,7 +424,8 @@ class DomainGeometry:
 
     @cached_property
     def detg(self):
-        return determinant(self.g)
+        """det g at order 0: every reader reads only its value."""
+        return determinant(jt.truncated(self.g, 0))
 
     @cached_property
     def spray(self):
@@ -703,9 +707,7 @@ def arc_length(fs: FinslerStructure, curve_sources, t0: float, t1: float) -> flo
     speed2 = sum(np.asarray(v) ** 2 for v in ys)
     if np.any(speed2 < 1e-24):
         raise DomainEvalError("zero velocity encountered along the curve")
-    env = {fs.xnames[i]: xs[i] for i in range(fs.dim)}
-    env.update({fs.ynames[i]: ys[i] for i in range(fs.dim)})
-    f2 = ex.evaluate(fs.f2_ast, env)
+    f2 = fs.f2_value(xs, ys)
     if np.any(f2 <= 0):
         raise DomainEvalError("F^2 <= 0 along the curve")
     return float(0.5 * (t1 - t0) * np.sum(weights * np.sqrt(f2)))

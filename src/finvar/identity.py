@@ -189,10 +189,9 @@ class IdentityGeometry:
         out = np.empty((n, n) + np.shape(self.geom.f2.value))
         for i in range(n):
             for j in range(n):
-                lhs = self.geom.delta(tau[i], j) + jt.sum_terms(
-                    [self.gamma_tilde[i][j][k] * tau[k] for k in range(n)])
-                bar = self.delta_tilde(tau[i], j) + jt.sum_terms(
-                    [self.gamma_tilde[i][j][l] * tau[l] for l in range(n)])
+                conn = jt.sum_terms([self.gamma_tilde[i][j][k] * tau[k] for k in range(n)])
+                lhs = self.geom.delta(tau[i], j) + conn
+                bar = self.delta_tilde(tau[i], j) + conn
                 corr = jt.sum_terms([self.B[k].deriv(self.fs.ynames[j])
                                      * tau[i].deriv(self.fs.ynames[k]) for k in range(n)])
                 out[i, j] = np.asarray((lhs - (bar - corr)).value)

@@ -69,10 +69,13 @@ propagation, Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 A cut can change only the sign of a zero coefficient, where the zero rules
 above skip a term or a factor of the cut jet that they ran on the uncut one.
 
-`AstEvaluator` evaluates a family of expression ASTs in one environment, each
-distinct node object once: ASTs that share subtrees share their jets.
-`eval_ast` evaluates one AST the same way, keeping only the values it reads
-again.
+`AstEvaluator` is the DAG walk of `expressions.Evaluator` with one rule
+added: a node with a jet operand runs jet arithmetic. A node whose operands
+are all plain numbers runs `expressions.apply`, the grammar's one set of
+numeric rules. It evaluates a family of expression ASTs in one environment,
+each distinct node object once, so ASTs that share subtrees share their
+jets; `eval_ast` evaluates one AST the same way, keeping only the values it
+reads again.
 """
 
 from __future__ import annotations
@@ -602,21 +605,11 @@ _FUNC_TABLE = {
 }
 
 
-class AstEvaluator:
+class AstEvaluator(ex.Evaluator):
     """Jets of a family of expression ASTs in one environment of jets (and
-    numbers), such as a `RiemannStructure`'s derivative table at one point.
-
-    Each distinct node object is evaluated once, and its value is kept,
-    under the node's identity, for every later AST of the family that
-    contains it, so ASTs that share subtrees share their subexpression jets.
-    A node's jet is a pure function of its children's jets, so sharing
-    changes no bit. Keys are identities, never dataclass equality, which
-    would merge `Const(0.0)` with `Const(-0.0)`.
-    """
-
-    def __init__(self, env: dict):
-        self.env = env
-        self._memo: dict = {}     # id(node) -> (node, jet or number)
+    numbers), such as a `RiemannStructure`'s derivative table at one point:
+    a node with a jet operand runs jet arithmetic, any other node the walk
+    and numeric rules of `expressions.Evaluator`."""
 
     def __call__(self, node) -> Jet:
         result = self._eval(node)
@@ -625,83 +618,29 @@ class AstEvaluator:
             return jet.space.constant(np.broadcast_to(result, jet.c.shape[1:]))
         return result
 
-    def _keeps(self, node) -> bool:
-        """Whether `node`'s value is kept for later reads: always, in a family."""
-        return True
-
-    def _eval(self, node):
-        hit = self._memo.get(id(node))
-        if hit is not None:
-            return hit[1]
-        value = self._compute(node)
-        if self._keeps(node):
-            self._memo[id(node)] = (node, value)
-        return value
-
     def _compute(self, node):
-        if isinstance(node, ex.Const):
-            return node.value
-        if isinstance(node, ex.Var):
-            return self.env[node.name]
         if isinstance(node, ex.BinOp):
             a = self._eval(node.left)
             b = self._eval(node.right)
+            if not (isinstance(a, Jet) or isinstance(b, Jet)):
+                return ex.apply(node, a, b)
             if node.op == "+":
                 return a + b
             if node.op == "-":
                 return a - b
             if node.op == "*":
                 return a * b
-            if not isinstance(b, Jet) and not np.all(np.asarray(b) != 0):
-                raise DomainEvalError("division by zero")
             return a / b
         if isinstance(node, ex.Pow):
             base = self._eval(node.base)
-            if isinstance(base, Jet):
-                return base ** node.exponent
-            p = node.exponent
-            if float(p).is_integer():
-                return base ** int(p)
-            if not np.all(np.asarray(base) > 0):
-                raise DomainEvalError("real power of a non-positive base")
-            return base ** p
+            return base ** node.exponent if isinstance(base, Jet) else ex.apply(node, base)
         if isinstance(node, ex.Func):
             arg = self._eval(node.arg)
-            if isinstance(arg, Jet):
-                return _FUNC_TABLE[node.name](arg)
-            if node.name in ("sqrt", "log") and not np.all(np.asarray(arg) > 0):
-                raise DomainEvalError(f"{node.name} of a non-positive value")
-            return getattr(np, {"atan": "arctan"}.get(node.name, node.name))(arg)
-        raise TypeError(f"not an AST node: {node!r}")
-
-
-class _SingleAst(AstEvaluator):
-    """One AST: keeps only the values of the nodes it reads more than once.
-
-    An AST without shared subtrees (a parsed one) then holds no more jets at
-    a time than a recursive walk, one per pending operand, which matters for
-    jets batched over many fibers."""
-
-    def __init__(self, env: dict, root):
-        super().__init__(env)
-        seen, self._shared, stack = set(), set(), [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                self._shared.add(id(node))
-                continue
-            seen.add(id(node))
-            stack.extend(getattr(node, f) for f in _CHILDREN.get(type(node), ()))
-
-    def _keeps(self, node) -> bool:
-        return id(node) in self._shared
-
-
-_CHILDREN = {ex.BinOp: ("left", "right"), ex.Pow: ("base",), ex.Func: ("arg",)}
+            return _FUNC_TABLE[node.name](arg) if isinstance(arg, Jet) else ex.apply(node, arg)
+        return super()._compute(node)
 
 
 def eval_ast(node, env: dict) -> Jet:
     """Evaluate an expression AST in an environment of jets (and numbers),
     each distinct node object once."""
-    return _SingleAst(env, node)(node)
-
+    return AstEvaluator(env, node)(node)

@@ -355,12 +355,22 @@ def differential(map: SmoothMap, x) -> np.ndarray:
                       for i in range(map.fs.dim)] for a in range(map.rs.dim)])
 
 
+def tension_report(mg: MapGeometry, with_bitension: bool = False) -> TensionReport:
+    """τ and |τ| at `mg`'s point, and τ₂ and |τ₂| `with_bitension`; no e(φ)."""
+    def norm(S):
+        return np.sqrt(np.maximum(_values(mg.inner(S, S)), 0.0))
+
+    report = TensionReport(tau=_values(mg.tension), tau_norm=norm(mg.tension))
+    if with_bitension:
+        report.tau2, report.tau2_norm = _values(mg.bitension), norm(mg.bitension)
+    return report
+
+
 def tension(map: SmoothMap, p: PointState) -> TensionReport:
     mg = _at(map, p, "tension")
-    tau = _values(mg.tension)
-    norm = np.sqrt(np.maximum(_values(mg.inner(mg.tension, mg.tension)), 0.0))
-    return TensionReport(tau=tau, tau_norm=norm,
-                         energy_density=_values(mg.energy_density))
+    report = tension_report(mg)
+    report.energy_density = _values(mg.energy_density)
+    return report
 
 
 def pullback_cov_deriv(map: SmoothMap, S: PullbackSection, i: int, p: PointState) -> np.ndarray:
@@ -380,14 +390,9 @@ def jacobi_apply(map: SmoothMap, S: PullbackSection, p: PointState) -> np.ndarra
 
 def bitension(map: SmoothMap, p: PointState) -> TensionReport:
     mg = _at(map, p, "bitension")
-    tau = _values(mg.tension)
-    tau2 = _values(mg.bitension)
-    return TensionReport(
-        tau=tau,
-        tau_norm=np.sqrt(np.maximum(_values(mg.inner(mg.tension, mg.tension)), 0.0)),
-        tau2=tau2,
-        tau2_norm=np.sqrt(np.maximum(_values(mg.inner(mg.bitension, mg.bitension)), 0.0)),
-        energy_density=_values(mg.energy_density))
+    report = tension_report(mg, with_bitension=True)
+    report.energy_density = _values(mg.energy_density)
+    return report
 
 
 def weitzenbock_residual(map: SmoothMap, p: PointState) -> float:

@@ -59,10 +59,8 @@ class QuadratureSpec:
     large `workers` never starts more processes than there are CPUs.
     Estimates are bitwise identical for any worker count. Side effects of a
     callable integrand in a child's stride do not come back to the caller.
-    Without `os.fork` the nodes run serially. Two workers against one on a
-    2-core machine, medians of six interleaved runs: 1.09 s vs 1.81 s on a
-    first-variation check at 8×8 nodes × 128 fibers, 0.29 s vs 0.54 s on a
-    bienergy at 4×4 × 2048. Every integral and every check draws each node's
+    Without `os.fork` the nodes run serially (README gives timings of two
+    workers against one). Every integral and every check draws each node's
     fibers once.
     """
 
@@ -194,9 +192,7 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
         node = ex.parse(fn, fs.xnames + fs.ynames)
 
         def fn(x, y):
-            env = {fs.xnames[i]: x[i] for i in range(fs.dim)}
-            env.update({fs.ynames[i]: y[i] for i in range(fs.dim)})
-            return np.broadcast_to(np.asarray(ex.evaluate(node, env), dtype=np.float64),
+            return np.broadcast_to(np.asarray(fs.evaluate(node, x, y), dtype=np.float64),
                                    y.shape[1:]).copy()
 
     def node_rows(x, y):

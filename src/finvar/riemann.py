@@ -46,15 +46,19 @@ def invert_matrix(mat):
     """Gauss-Jordan inverse of a small matrix of jets or arrays.
 
     No pivoting: callers only invert positive-definite metric tensors, whose
-    diagonal stays positive throughout the elimination.
+    diagonal stays positive throughout the elimination. A pivot of at most
+    1e-13 times the largest diagonal value (per batch element) is singular,
+    so a metric and its multiples by any positive scale pass or fail together.
     """
     n = len(mat)
     a = [list(row) for row in mat]
     inv = [[(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    floor = 1e-13 * np.max(np.broadcast_arrays(*(np.abs(_value_of(mat[i][i]))
+                                                 for i in range(n))), axis=0)
     for col in range(n):
         piv = a[col][col]
         piv_val = _value_of(piv)
-        if not np.all(np.isfinite(piv_val)) or np.any(np.abs(piv_val) < 1e-13):
+        if not np.all(np.isfinite(piv_val)) or np.any(np.abs(piv_val) <= floor):
             raise SingularMetricError("metric is singular or indefinite at the evaluation point")
         piv_inv = 1.0 / piv
         # columns <= col of `a` are never read again: only those right of it are updated
@@ -331,16 +335,13 @@ class RiemannStructure:
 
         Partials come from exact derivative expressions, so the table is
         valid whether `env` binds plain values or domain jets (the pullback
-        through a map needs the latter). On jets, one `AstEvaluator` serves
-        every level, so each node of the derivative DAG is evaluated once
-        per table.
+        through a map needs the latter). One evaluator (`AstEvaluator` on
+        jets) serves every level, so each node of the derivative DAG is
+        evaluated once per table.
         """
         n = self.dim
-        if any(isinstance(v, jt.Jet) for v in env.values()):
-            evaluate = jt.AstEvaluator(env)
-        else:
-            def evaluate(node):
-                return ex.evaluate(node, env)
+        jets = any(isinstance(v, jt.Jet) for v in env.values())
+        evaluate = (jt.AstEvaluator if jets else ex.Evaluator)(env)
 
         def entry(t):
             return [[evaluate(self._partial_ast(a, b, t)) for b in range(n)] for a in range(n)]

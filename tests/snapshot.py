@@ -15,6 +15,11 @@ snapshot maps a name to a list of float-hex strings:
 - `pointwise/...`: τ, τ₂, JV, the Hessian integrand, Γ and the hh curvature
   on Randers, perturbed, Euclidean and n = 3 custom domains into the sphere
   and a custom codomain, batch-free and batched;
+- `plain/...`: `expressions.evaluate` and `jets.eval_ast` over a fixed
+  expression list (constant powers included), `f2_value` at a fixed fiber
+  batch, `arc_length` and `integrate` of an expression on each domain, and
+  the codomain's Christoffel symbols, curvature and sectional curvature at
+  fixed points;
 - `tier1/<test id>/<call>`: the (value, stderr) pairs of every quadrature
   estimate the test suite makes (it runs the suite in-process, about a
   minute and a half on two cores; `--no-tier1` leaves it out).
@@ -65,40 +70,47 @@ def benchmark_outputs():
     return out
 
 
-def pointwise_outputs():
-    """τ, τ₂, JV, the Hessian integrand, Γ and hh on four domains."""
-    from finvar.finsler import DomainGeometry, FinslerStructure, TorusChart
-    from finvar.maps import MapGeometry, PullbackSection, SmoothMap
-    from finvar.riemann import RiemannStructure
+def _domains():
+    from finvar.finsler import FinslerStructure, TorusChart
 
     chart = TorusChart((1.0, 1.0))
-    domains = {
-        "randers": lambda: FinslerStructure.randers(
+    return {
+        "randers": FinslerStructure.randers(
             [["1", "0"], ["0", "1"]],
             [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"], 2, chart=chart),
-        "perturbed": lambda: FinslerStructure.perturbed(
+        "perturbed": FinslerStructure.perturbed(
             [["1 + x2^2/4", "x1*x2/8"], ["x1*x2/8", "1 + x1^2/4"]],
             "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2)", 2, chart=chart, scale=0.05),
-        "euclidean": lambda: FinslerStructure.euclidean(2, chart=chart),
-        "custom-n3": lambda: FinslerStructure.custom(
+        "euclidean": FinslerStructure.euclidean(2, chart=chart),
+        "custom-n3": FinslerStructure.custom(
             "sqrt(y1^2 + y2^2 + y3^2)*(1 + 0.1*sin(x1)*cos(x2) + 0.05*x3)"
             " + 0.1*sin(x2)*y1 + 0.05*y3*cos(x1)", 3, chart=TorusChart((1.0, 1.0, 1.0))),
     }
-    codomains = {
-        "sphere": lambda: RiemannStructure.sphere(2, 1.0),
-        "custom": lambda: RiemannStructure.custom(
+
+
+def _codomains():
+    from finvar.riemann import RiemannStructure
+
+    return {
+        "sphere": RiemannStructure.sphere(2, 1.0),
+        "custom": RiemannStructure.custom(
             [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"], ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]], 2),
     }
+
+
+def pointwise_outputs():
+    """τ, τ₂, JV, the Hessian integrand, Γ and hh on four domains."""
+    from finvar.finsler import DomainGeometry
+    from finvar.maps import MapGeometry, PullbackSection, SmoothMap
+
     batches = {"batch-free": [0.8, -0.6, 0.3],
                "batched": [[0.8, -0.3, 1.1], [-0.6, 0.9, 0.2], [0.3, 0.1, -0.7]]}
     V1 = PullbackSection(["sin(x1) + 0.3*y1*y2", "cos(x2)*y1"])
     V2 = PullbackSection(["0.2*cos(x2)*y2", "sin(x1)*x2 + 0.1*y1"])
     out = {}
-    for dname, make_fs in domains.items():
-        fs = make_fs()
+    for dname, fs in _domains().items():
         n, xn = fs.dim, fs.xnames
-        for cname, make_rs in codomains.items():
-            rs = make_rs()
+        for cname, rs in _codomains().items():
             phi = SmoothMap([f"0.8 + 0.3*cos({xn[0]}*{TWO_PI!r}) + 0.1*sin({xn[-1]}*{TWO_PI!r})",
                              f"0.2*sin({xn[0]}*{TWO_PI!r}) + 0.25*cos({xn[1]}*{TWO_PI!r})"],
                             fs, rs)
@@ -114,6 +126,53 @@ def pointwise_outputs():
                 if cname == "sphere":
                     out[f"{key}/gamma"] = _hex(_flat(geom.gamma))
                     out[f"{key}/hh"] = _hex(_flat(geom.hh_curvature))
+    return out
+
+
+PLAIN_EXPRESSIONS = (
+    "0.3^-2*x1", "0.7^-2*x1", "1.3^3*x2 + 0.9^-3", "(2 + x2)^0.5*1.7^2.5",
+    "atan(0.4)*x1", "x1^2*x2 - 3/x2", "sqrt(x1^2 + x2^2)", "exp(0.5*x1)*sin(x2)",
+    "log(1 + x1^2)*atan(x2)", "tan(0.2*x1)/(2 + cos(x2))", "(1 + x1^2)^-1.5",
+)
+
+
+def plain_outputs():
+    """Plain evaluation: expressions, F², arc length, an integral, and the
+    codomain's pointwise geometry."""
+    import numpy as np
+    from finvar import expressions as ex
+    from finvar import jets as jt
+    from finvar import quadrature, riemann
+    from finvar.finsler import arc_length
+
+    names = ("x1", "x2")
+    x = {"x1": np.array([0.3, -0.7, 1.1]), "x2": np.array([0.45, 1.6, -0.2])}
+    env = jt.jet_space(names, 2).point_env(x)
+    out = {}
+    for i, source in enumerate(PLAIN_EXPRESSIONS):
+        node = ex.parse(source, names)
+        out[f"plain/evaluate/{i}"] = _hex(np.ravel(ex.evaluate(node, x)))
+        out[f"plain/eval_ast/{i}"] = _hex(np.ravel(jt.eval_ast(node, env).c))
+    y = np.array([[0.8, -0.3, 1.1, 0.05], [-0.6, 0.9, 0.2, -0.4], [0.3, 0.1, -0.7, 0.5]])
+    curve = ["0.3 + 0.2*cos(t)", "0.5 + 0.1*sin(2*t)", "0.2 + 0.1*t"]
+    integrand = "x1*y1^2 + cos(x2)*y2^2 + 0.5"
+    spec = quadrature.QuadratureSpec(x_resolution=3, y_samples=64, seed=3)
+    for dname, fs in _domains().items():
+        n = fs.dim
+        out[f"plain/{dname}/f2_value"] = _hex(np.ravel(fs.f2_value([0.31, 0.77, 0.12][:n],
+                                                                   y[:n])))
+        out[f"plain/{dname}/arc_length"] = _hex([arc_length(fs, curve[:n], 0.0, 1.5)])
+        est = quadrature.integrate(integrand, fs, spec)
+        out[f"plain/{dname}/integrate"] = _hex([est.value, est.stderr])
+    for cname, rs in _codomains().items():
+        for k, p in enumerate(([0.3, -0.2], [1.1, 0.4])):
+            key = f"plain/{cname}/{k}"
+            out[f"{key}/christoffel"] = _hex(np.ravel(riemann.christoffel(rs, p)))
+            field = riemann.curvature(rs, p)
+            out[f"{key}/curvature"] = _hex(np.ravel(field.riemann))
+            out[f"{key}/nabla_curvature"] = _hex(np.ravel(field.nabla))
+            out[f"{key}/sectional"] = _hex([riemann.sectional_curvature(rs, p, [1.0, 0.2],
+                                                                        [-0.3, 0.8])])
     return out
 
 
@@ -185,7 +244,7 @@ def main():
     if not args.out:
         parser.error("give an output file or --diff")
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    snap = {**benchmark_outputs(), **pointwise_outputs()}
+    snap = {**benchmark_outputs(), **pointwise_outputs(), **plain_outputs()}
     if not args.no_tier1:
         snap.update(tier1_outputs())
     with open(args.out, "w") as fh:

@@ -409,3 +409,26 @@ def test_a_zero_scaling_slope_is_exit_3_with_one_line(tmp_path, capsys):
     assert main(["identity-analysis", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: log-log slope") and err.count("\n") == 1
+
+
+README_MAP = {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"]}
+
+
+@pytest.mark.parametrize("command, change", [
+    ("tension", {"codomain": {"type": "sphere", "radius": 1e-4}}),           # g̃ ≈ 6e-16·I
+    ("geom", {"domain": {"type": "custom", "f": "1e-7*sqrt(y1^2 + y2^2)",
+                         "chart": {"type": "torus", "periods": [1.0, 1.0]}}}),  # g = 1e-14·I
+])
+def test_a_small_well_conditioned_metric_is_not_singular(tmp_path, capsys, command, change):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, "map": README_MAP, **change})
+    assert main([command, "--config", cfg, "--point", "0.2,0.3,1.0,0.5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_metric_with_a_tiny_eigenvalue_is_still_singular(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, "map": README_MAP,
+                                        "codomain": {"type": "custom",
+                                                     "matrix": [["1", "0"], ["0", "1e-15"]]}})
+    assert main(["tension", "--config", cfg, "--point", "0.2,0.3,1.0,0.5"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: metric is singular or indefinite")

@@ -1,5 +1,7 @@
 """Truncated Taylor (jet) arithmetic against finite-difference oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from finvar import expressions as ex
 from finvar import jets as jt
-from finvar.errors import OrderLimitError
+from finvar.errors import DomainEvalError, OrderLimitError
 
 from helpers import multi_indices, random_expression, richardson_partial
 
@@ -290,7 +292,7 @@ def test_eval_ast_evaluates_a_shared_subtree_once_and_keeps_only_its_value(monke
         return compute(self, n)
 
     monkeypatch.setattr(jt.AstEvaluator, "_compute", counting)
-    evaluator = jt._SingleAst(env, node)
+    evaluator = jt.AstEvaluator(env, node)
     got = evaluator(node)
     assert calls[id(shared)] == 1 and set(calls.values()) == {1}
     # only the shared subtree's value is held; a walk of a tree holds none after it
@@ -298,7 +300,7 @@ def test_eval_ast_evaluates_a_shared_subtree_once_and_keeps_only_its_value(monke
     ref = unshared_eval_ast(node, env)
     assert got.c.tobytes() == ref.c.tobytes() and got.order == ref.order
     tree = ex.parse("sin(x1*y1)*(x2 + 3)/(1 + y2^2)", XY)
-    walk = jt._SingleAst(env, tree)
+    walk = jt.AstEvaluator(env, tree)
     assert walk(tree).c.tobytes() == unshared_eval_ast(tree, env).c.tobytes()
     assert walk._memo == {}
 
@@ -481,3 +483,43 @@ def test_jets_agree_with_evaluate_and_differentiate(seed, batched):
             mu = tuple(int(k == i) for k in range(len(XN)))
             d = ex.evaluate(ex.differentiate(node, name), point)
             assert close(j.partial(mu), d), (ex.to_source(node), name)
+
+
+# --- plain nodes: one set of numeric rules on both paths ----------------------------
+
+def _outcome(evaluate):
+    """The float hex of a plain value (every NaN as "nan"), or the
+    `DomainEvalError` message it raised."""
+    try:
+        value = float(evaluate())
+    except DomainEvalError as exc:
+        return DomainEvalError, str(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def _both_paths(node):
+    env = jt.jet_space(XN, 0).point_env({"x1": np.asarray(1.0), "x2": np.asarray(-0.5)})
+    return (_outcome(lambda: jt.eval_ast(node, env).value),
+            _outcome(lambda: ex.evaluate(node, {"x1": 1.0, "x2": -0.5})))
+
+
+@pytest.mark.parametrize("source", ["0.3^-2*x1", "0.7^-2*x1", "atan(0.4)*x1", "x1/(2 - 2)"])
+def test_a_plain_node_has_the_same_bits_and_errors_through_jets_and_evaluate(source):
+    via_jets, via_evaluate = _both_paths(ex.parse(source, XN))
+    assert via_jets == via_evaluate
+    if source.endswith("(2 - 2)"):
+        assert via_evaluate == (DomainEvalError, "division by zero")
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 4))
+def test_a_constant_expression_has_the_same_bits_through_jets_and_evaluate(seed, depth):
+    rng = np.random.default_rng(seed)
+    node = random_expression(rng, XN, depth)
+    node = ex.substitute(node, {name: float(rng.uniform(-0.8, 0.8)) for name in XN})
+    assert ex.free_vars(node) == frozenset()
+    stack = [node]                                    # every subtree, so no rounding hides one
+    while stack:
+        sub = stack.pop()
+        via_jets, via_evaluate = _both_paths(sub)
+        assert via_jets == via_evaluate, ex.to_source(sub)
+        stack.extend(getattr(sub, f) for f in ex.CHILDREN.get(type(sub), ()))

@@ -54,6 +54,19 @@ def test_flat_tension_is_the_plain_laplacian_trace():
         0.5 * float(np.sum(differential(m, x) ** 2)), rel=1e-12)
 
 
+def test_tension_scales_with_the_inverse_square_of_a_constant_factor_of_f():
+    # F = s|y| has g = s²·δ: τ = g^{ij}(…) is s⁻² times τ on F = |y|, also
+    # where every entry of g is far below 1 (s = 1e-7, g = 1e-14·δ)
+    chart, s = TorusChart((1.0, 1.0)), 1e-7
+    p = PointState([0.2, 0.3], [1.0, 0.5])
+    rs = RiemannStructure.sphere(2, 1.0)
+    unit = FinslerStructure.custom("sqrt(y1^2 + y2^2)", 2, chart=chart)
+    small = FinslerStructure.custom(f"{s!r}*sqrt(y1^2 + y2^2)", 2, chart=chart)
+    want = tension(_periodic_map(unit, rs), p).tau
+    got = tension(_periodic_map(small, rs), p).tau
+    assert np.allclose(got * s * s, want, rtol=1e-12, atol=0)
+
+
 def test_differential_is_exact():
     fs = FinslerStructure.euclidean(2)
     m = SmoothMap(["sin(x1)*x2", "x1 + x2^2"], fs, RiemannStructure.euclidean(2))
