@@ -178,9 +178,9 @@ def _suite_invariants(cfg: RunConfig, rep: Report, args):
         for x, y in cfg.sample_points(20):
             mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["invariants"]))
             tau = _values(mg.tension)
-            gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
+            gap = float(np.max(np.abs(tau - _values(mg.tension_divergence_form()))))
             worst_tau = max(worst_tau, gap / max(1.0, float(np.max(np.abs(tau)))))
-        rep.check("tension_expanded_vs_structural", worst_tau, tol)
+        rep.check("tension_vs_divergence_form", worst_tau, tol)
     if "perturbation" in cfg.data:
         setup = cfg.perturbation()
         worst33 = worst_split = 0.0

@@ -696,6 +696,8 @@ def integrate_geodesic(fs: FinslerStructure, p0: PointState, steps: int,
 
 def arc_length(fs: FinslerStructure, curve_sources, t0: float, t1: float) -> float:
     """l(c) = ∫ F(c(t), ċ(t)) dt by Gauss–Legendre quadrature with 64 nodes."""
+    if len(curve_sources) != fs.dim:
+        raise ConfigError(f"expected {fs.dim} curve components, got {len(curve_sources)}")
     curves = [ex.parse(c, ["t"]) for c in curve_sources]
     vels = [ex.constant_fold(ex.differentiate(c, "t")) for c in curves]
     nodes, weights = np.polynomial.legendre.leggauss(64)

@@ -27,9 +27,9 @@ feeds) is the one fixed by the Ricci identity in `riemann`; the
 first-variation finite-difference check J(V) = D_{∂ε}τ confirms it
 end-to-end in the tests.
 
-τ, its structural form and Δ^{dφ} are `DomainGeometry.horizontal_trace` calls,
-and the other g^{ij} sums (but those of e(φ) and the Hessian integrand) are
-`DomainGeometry.contract` calls: this module reads neither Γ nor P_i.
+τ and Δ^{dφ} are `DomainGeometry.horizontal_trace` calls, τ's divergence form
+a `divergence_of` call, and the other g^{ij} sums (but those of e(φ) and the
+Hessian integrand) `contract` calls: this module reads neither Γ nor P_i.
 
 A sum keeps the least order of its terms, and no term is built above it:
 J's curvature trace is built at the order of Δ^{dφ}S, two below S's;
@@ -234,15 +234,16 @@ class MapGeometry:
                                                       for b in range(m) for c in range(m)])
               for j in range(n)] for i in range(n)], dphi[a]) for a in range(m)]
 
-    def structural_tension(self):
-        """τ^α = g^{ij}(D_{δ_i}(dφ(δ_j)) − dφ(D_{δ_i}δ_j) − P_i dφ(δ_j)), built
-        from the pullback connection; `check invariants` compares it with
-        `tension`."""
-        n, m = self.n, self.m
-        Ddphi = [[self.cov_deriv([self.dphi[b][j] for b in range(m)], i)
-                  for j in range(n)] for i in range(n)]
-        return [self.geom.horizontal_trace([[Ddphi[i][j][a] for j in range(n)] for i in range(n)],
-                                           self.dphi[a]) for a in range(m)]
+    def tension_divergence_form(self):
+        """τ^α = div(g^{ij}φ^α_{,j}) + g^{ij}γ̃^α_{βγ}φ^β_{,i}φ^γ_{,j}, with no
+        `horizontal_trace`; `check invariants` compares it with `tension`."""
+        n, m, g, gamma, dphi = self.n, self.m, self.geom, self.gamma_tilde, self.dphi
+        return [g.divergence_of([jt.sum_terms([g.ginv[i][j] * dphi[a][j] for j in range(n)])
+                                 for i in range(n)])
+                + g.contract([[jt.sum_terms([gamma[a][b][c] * dphi[b][i] * dphi[c][j]
+                                             for b in range(m) for c in range(m)])
+                               for j in range(n)] for i in range(n)])
+                for a in range(m)]
 
     # --- second-order operators -------------------------------------------------------
 
@@ -324,13 +325,10 @@ class MapGeometry:
         total = [jj + t for jj, t in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
         for i in range(n):
             dphi_i = [dphi[b][i] for b in range(m)]
-            # pulled-back curvature derivative directions
-            dir_tau = tau
-            dir_i = dphi_i
             for j in range(n):
                 dphi_j = [dphi[b][j] for b in range(m)]
-                t1 = nabla_riem_apply(nabla, dir_tau, V2, dphi_i, dphi_j, m)
-                t2 = nabla_riem_apply(nabla, dir_i, dphi_j, tau, V2, m)
+                t1 = nabla_riem_apply(nabla, tau, V2, dphi_i, dphi_j, m)
+                t2 = nabla_riem_apply(nabla, dphi_i, dphi_j, tau, V2, m)
                 t3 = riem_apply(riem, V2, dphi_i, Dtau[j], m)
                 t4 = riem_apply(riem, dphi_i, tau, DV2[j], m)
                 for a in range(m):

@@ -10,6 +10,9 @@ Euclidean bounding ball of per-point radius SAFETY / min_{‖u‖=1} F(x, u)
 floor `finsler.DEFAULT_R_MIN`, and the base integral by a periodic
 trapezoidal rule (torus charts) or a Gauss–Legendre product rule (box charts).
 
+Every functional and check supplies only its integrands α, read off a node's
+geometry; `_assemble` builds that `DomainGeometry` and applies det g.
+
 Reproducibility: every x-node owns a counter-based Philox stream keyed by
 (seed, node index), and the node reduction runs in a fixed order in the
 calling process, so a fixed spec yields bit-identical estimates regardless of
@@ -21,6 +24,7 @@ what lets the FD noise cancel.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -186,20 +190,12 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
     """Normalized unit-ball-bundle integral of a scalar integrand.
 
     `fn` is either an expression (source or AST, variables x1.., y1..) or a
-    callable `(x, y_batch) -> values` evaluated on the accepted samples.
+    callable `(x, y_batch) -> values` evaluated on the accepted samples; a
+    scalar value stands for the same value at every sample.
     """
     if not callable(fn):
-        node = ex.parse(fn, fs.xnames + fs.ynames)
-
-        def fn(x, y):
-            return np.broadcast_to(np.asarray(fs.evaluate(node, x, y), dtype=np.float64),
-                                   y.shape[1:]).copy()
-
-    def node_rows(x, y):
-        geom = DomainGeometry(fs, x, y, ORDER_TABLE["metric"])
-        return [np.asarray(fn(x, y)) * _values(geom.detg)]
-
-    return _assemble(node_rows, fs, spec,
+        fn = functools.partial(fs.evaluate, ex.parse(fn, fs.xnames + fs.ynames))
+    return _assemble(lambda geom: [fn(geom.x, geom.y)], fs, spec, ORDER_TABLE["metric"],
                      structure_hash=_hash_of(fs.label, ex.to_source(fs.f2_ast)))[0]
 
 
@@ -270,14 +266,14 @@ def _fork_map(fn, tasks, workers: int) -> list:
     return results
 
 
-def _assemble(node_rows, fs: FinslerStructure, spec: QuadratureSpec,
+def _assemble(rows, fs: FinslerStructure, spec: QuadratureSpec, order: int,
               structure_hash: str = "") -> list:
     """The one node loop: per-node fiber Monte Carlo + deterministic reduction.
 
-    `node_rows(x, y_accepted)` returns k rows of integrand·det g on the
-    accepted fiber samples of one node, shape (k, accepted); every row is
-    reduced on its own into one of the k returned estimates. All rows of a
-    node see the same samples, drawn once.
+    Per node: draw the fibers, build one `DomainGeometry` of jet order
+    `order` on the accepted samples, call `rows(geom)` for the node's k
+    integrands α (a scalar stands for its value at every sample), weigh each
+    by det g and reduce it on its own into one of the k returned estimates.
     """
     xs, ws = _x_rule(fs, spec.x_resolution)
     vol_bn = unit_ball_volume(fs.dim)
@@ -285,9 +281,12 @@ def _assemble(node_rows, fs: FinslerStructure, spec: QuadratureSpec,
     def one_node(args):
         node_index, x = args
         y, inside, radius = _fiber_samples(fs, x, spec, node_index)
-        rows = np.asarray(node_rows(x, y[:, inside]), dtype=np.float64)
-        vals = np.zeros((len(rows), spec.y_samples))
-        vals[:, inside] = rows
+        geom = DomainGeometry(fs, x, y[:, inside], order)
+        integrands = rows(geom)
+        det = _values(geom.detg)
+        weighted = np.asarray([np.asarray(row) * det for row in integrands], dtype=np.float64)
+        vals = np.zeros((len(weighted), spec.y_samples))
+        vals[:, inside] = weighted
         ball_vol = vol_bn * radius ** fs.dim
         contrib = ball_vol * vals.mean(axis=1) / vol_bn
         contrib_var = (ball_vol / vol_bn) ** 2 * vals.var(axis=1, ddof=1) / spec.y_samples
@@ -316,37 +315,28 @@ def _map_hash(map: SmoothMap) -> str:
 
 
 def _bienergy_rows(maps, geom: DomainGeometry):
-    """½⟨τ, τ⟩ det g of each map, over one shared domain geometry."""
-    det = _values(geom.detg)
-    rows = []
-    for m in maps:
-        mg = MapGeometry(m, geom)
-        rows.append(0.5 * _values(mg.inner(mg.tension, mg.tension)) * det)
-    return rows
+    """½⟨τ, τ⟩ of each map, over one shared domain geometry."""
+    return [0.5 * _values(mg.inner(mg.tension, mg.tension))
+            for mg in (MapGeometry(m, geom) for m in maps)]
 
 
 def _hessian_rows(map: SmoothMap, pairs, geom: DomainGeometry):
-    """H(V, W) integrand·det g of each (V, W) pair, over `map` on `geom`."""
+    """H(V, W) integrand of each (V, W) pair, over `map` on `geom`."""
     mg = MapGeometry(map, geom)
-    det = _values(geom.detg)
-    return [np.asarray(mg.hessian_integrand(V.jets(mg), W.jets(mg))) * det for V, W in pairs]
+    return [mg.hessian_integrand(V.jets(mg), W.jets(mg)) for V, W in pairs]
 
 
 def energy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
     """E(φ) = ∫_{BM} e(φ), e = ½ g^{ij} g̃_{αβ}(φ) φ^α_{,i} φ^β_{,j}."""
-
-    def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["energy_density"]))
-        return [_values(mg.energy_density) * _values(mg.geom.detg)]
-
-    return _assemble(node_rows, map.fs, spec, structure_hash=_map_hash(map))[0]
+    return _assemble(lambda geom: [_values(MapGeometry(map, geom).energy_density)],
+                     map.fs, spec, ORDER_TABLE["energy_density"],
+                     structure_hash=_map_hash(map))[0]
 
 
 def bienergy(map: SmoothMap, spec: QuadratureSpec) -> FunctionalEstimate:
     """E₂(φ) = ½ ∫_{BM} ⟨τ, τ⟩."""
-    return _assemble(
-        lambda x, y: _bienergy_rows([map], DomainGeometry(map.fs, x, y, ORDER_TABLE["tension"])),
-        map.fs, spec, structure_hash=_map_hash(map))[0]
+    return _assemble(lambda geom: _bienergy_rows([map], geom), map.fs, spec,
+                     ORDER_TABLE["tension"], structure_hash=_map_hash(map))[0]
 
 
 # --- variational checks -----------------------------------------------------------
@@ -372,14 +362,14 @@ def first_variation_check(family: VariationFamily, spec: QuadratureSpec,
     maps = [family.map_at(eps) for step in steps for eps in (step, -step)]
     v_asts = family.deviation_field(1)
 
-    def node_rows(x, y):
-        geom = DomainGeometry(base.fs, x, y, order_for("tension", "bitension"))
+    def rows(geom):
         mg = MapGeometry(base, geom)
         V = [jt.eval_ast(a, geom.env) for a in v_asts]
-        variation = _values(mg.inner(mg.bitension, V)) * _values(geom.detg)
+        variation = _values(mg.inner(mg.bitension, V))
         return [*_bienergy_rows(maps, geom.at_order(ORDER_TABLE["tension"])), variation]
 
-    *e2, est = _assemble(node_rows, base.fs, spec, structure_hash=_map_hash(base))
+    *e2, est = _assemble(rows, base.fs, spec, order_for("tension", "bitension"),
+                         structure_hash=_map_hash(base))
     central = [(e2[2 * k].value - e2[2 * k + 1].value) / (2 * step)
                for k, step in enumerate(steps)]
     fd = central[0]
@@ -397,16 +387,15 @@ def self_adjointness_check(map: SmoothMap, X: PullbackSection, Y: PullbackSectio
     exactly comparable sample by sample.
     """
 
-    def node_rows(x, y):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["jacobi"]))
+    def rows(geom):
+        mg = MapGeometry(map, geom)
         Xj, Yj = X.jets(mg), Y.jets(mg)
         LX, LY = mg.rough_laplacian(Xj), mg.rough_laplacian(Yj)
         JX, JY = mg.jacobi(Xj), mg.jacobi(Yj)
-        det = _values(mg.geom.detg)
-        return [_values(mg.inner(S, T)) * det
+        return [_values(mg.inner(S, T))
                 for S, T in ((LX, Yj), (Xj, LY), (JX, Yj), (Xj, JY), (LX, Xj))]
 
-    ests = _assemble(node_rows, map.fs, spec, structure_hash=_map_hash(map))
+    ests = _assemble(rows, map.fs, spec, ORDER_TABLE["jacobi"], structure_hash=_map_hash(map))
     sums = [e.value for e in ests]
     return {
         "laplacian_gap": abs(sums[0] - sums[1]),
@@ -421,9 +410,8 @@ def self_adjointness_check(map: SmoothMap, X: PullbackSection, Y: PullbackSectio
 def hessian_form(map: SmoothMap, V1: PullbackSection, V2: PullbackSection,
                  spec: QuadratureSpec) -> FunctionalEstimate:
     """H(V₁, V₂) = ∫_{BM} hessian integrand."""
-    return _assemble(lambda x, y: _hessian_rows(
-        map, [(V1, V2)], DomainGeometry(map.fs, x, y, ORDER_TABLE["hessian"])),
-        map.fs, spec, structure_hash=_map_hash(map))[0]
+    return _assemble(lambda geom: _hessian_rows(map, [(V1, V2)], geom), map.fs, spec,
+                     ORDER_TABLE["hessian"], structure_hash=_map_hash(map))[0]
 
 
 def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
@@ -449,12 +437,11 @@ def second_variation_check(family: VariationFamily, spec: QuadratureSpec,
     V1 = PullbackSection(family.deviation_field(1))
     V2 = PullbackSection(family.deviation_field(2))
 
-    def node_rows(x, y):
-        geom = DomainGeometry(base.fs, x, y, order_for("tension", "hessian"))
+    def rows(geom):
         hessian = _hessian_rows(base, [(V1, V2), (V2, V1)], geom)
         return [*_bienergy_rows(corners, geom.at_order(ORDER_TABLE["tension"])), *hessian]
 
-    pp, pm, mp, mm, h12, h21 = _assemble(node_rows, base.fs, spec,
+    pp, pm, mp, mm, h12, h21 = _assemble(rows, base.fs, spec, order_for("tension", "hessian"),
                                          structure_hash=_map_hash(base))
     fd = (pp.value - pm.value - mp.value + mm.value) / (4 * h * h)
     return VariationCheck(fd=fd, analytic=h12.value, gap=abs(fd - h12.value),
@@ -472,15 +459,13 @@ def divergence_theorem_check(fs: FinslerStructure, X, spec: QuadratureSpec,
     X_asts = [ex.parse(c, names) for c in X]
     f_ast = None if f is None else ex.parse(f, names)
 
-    def node_rows(x, y):
-        geom = DomainGeometry(fs, x, y, order_for("divergence", "laplacian"))
-        det = _values(geom.detg)
-        rows = [_values(geom.divergence_of([jt.eval_ast(a, geom.env) for a in X_asts])) * det]
+    def rows(geom):
+        out = [_values(geom.divergence_of([jt.eval_ast(a, geom.env) for a in X_asts]))]
         if f_ast is not None:
-            rows.append(_values(geom.horizontal_laplacian_of(jt.eval_ast(f_ast, geom.env))) * det)
-        return rows
+            out.append(_values(geom.horizontal_laplacian_of(jt.eval_ast(f_ast, geom.env))))
+        return out
 
-    ests = _assemble(node_rows, fs, spec)
+    ests = _assemble(rows, fs, spec, order_for("divergence", "laplacian"))
     out = {"divergence_integral": ests[0].value, "divergence_stderr": ests[0].stderr}
     if f_ast is not None:
         out.update({"laplacian_integral": ests[1].value,

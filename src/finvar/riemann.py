@@ -301,9 +301,7 @@ class RiemannStructure:
         rng = np.random.default_rng(20240923)
         pts = rng.uniform(-0.5, 0.5, size=(16, self.dim))
         for x in pts:
-            env = {self.coords[i]: x[i] for i in range(self.dim)}
-            mat = np.array([[ex.evaluate(self.metric_asts[a][b], env)
-                             for b in range(self.dim)] for a in range(self.dim)], dtype=float)
+            mat = metric_at(self, x)
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ConfigError("codomain metric matrix is not symmetric")
             if np.linalg.eigvalsh(mat).min() <= 0:
@@ -401,13 +399,18 @@ def metric_at(rs: RiemannStructure, x) -> np.ndarray:
 
 
 def sectional_curvature(rs: RiemannStructure, x, v, w) -> float:
-    """K(plane spanned by v, w) = <R(v,w)w, v> / (|v|^2 |w|^2 - <v,w>^2)."""
+    """K(plane spanned by v, w) = <R(v,w)w, v> / (|v|^2 |w|^2 - <v,w>^2), the
+    plane degenerate where the denominator is at most 1e-14 |v|^2 |w|^2."""
     g = metric_at(rs, x)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    denom = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
-    if abs(denom) < 1e-14:
+    vv, ww = v @ g @ v, w @ g @ w
+    denom = vv * ww - (v @ g @ w) ** 2
+    if abs(denom) <= 1e-14 * vv * ww:
         raise SingularMetricError("degenerate plane for sectional curvature")
-    field = curvature(rs, x)
-    rvww = np.array(riem_apply(field.riemann, v, w, w, rs.dim))
+    p = rs.partials_from_jets(x, 2)
+    gamma, ginv = christoffel_table(p)
+    riem = np.array(curvature_table(gamma, dchristoffel_table(p, gamma, ginv)[0], rs.dim),
+                    dtype=float)
+    rvww = np.array(riem_apply(riem, v, w, w, rs.dim))
     return float((rvww @ g @ v) / denom)

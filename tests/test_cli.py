@@ -2,11 +2,14 @@
 
 import json
 import math
+from functools import cached_property
 
 import pytest
 
 from finvar import cli
+from finvar import jets as jt
 from finvar.cli import main
+from finvar.finsler import DomainGeometry
 from finvar.report import Report
 
 TWO_PI = 2 * math.pi
@@ -68,9 +71,44 @@ def test_invariants_suite_compares_the_tension_forms_when_there_is_a_map(tmp_pat
     assert main(["check", "invariants", "--config", _write(tmp_path, "cfg.json", with_map),
                  "--format", "json"]) == 0
     rows = {r.name: r for r in Report.from_json(capsys.readouterr().out).records}
-    assert rows["tension_expanded_vs_structural"].status == "pass"
+    assert rows["tension_vs_divergence_form"].status == "pass"
     assert main(["check", "invariants", "--config", _write(tmp_path, "bare.json", RANDERS)]) == 0
-    assert "tension_expanded_vs_structural" not in capsys.readouterr().out
+    assert "tension_vs_divergence_form" not in capsys.readouterr().out
+
+
+def _trace_without_torsion(self, A, B):
+    """`DomainGeometry.horizontal_trace` with its P_i B_j term dropped."""
+    n = self.n
+    return self.contract([[A[i][j] - jt.sum_terms([self.gamma[k][i][j] * B[k] for k in range(n)])
+                           for j in range(n)] for i in range(n)])
+
+
+_CHERN_RUND = DomainGeometry.gamma.func
+
+
+def _gamma_shifted(self):
+    """Chern–Rund Γ with Γ¹₂₂ moved by 0.01."""
+    gamma = _CHERN_RUND(self)
+    gamma[0][1][1] = gamma[0][1][1] + 0.01
+    return gamma
+
+
+@pytest.mark.parametrize("attr, mutant", [
+    ("horizontal_trace", _trace_without_torsion),
+    ("gamma", cached_property(_gamma_shifted)),
+], ids=["torsion_term_dropped", "gamma_122_shifted"])
+def test_the_divergence_form_row_catches_a_wrong_tension(attr, mutant, tmp_path, capsys,
+                                                          monkeypatch):
+    if isinstance(mutant, cached_property):
+        mutant.__set_name__(DomainGeometry, attr)
+    monkeypatch.setattr(DomainGeometry, attr, mutant)
+    with_map = {**RANDERS, "codomain": {"type": "sphere", "radius": 1.0},
+                "map": {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})",
+                                       f"0.3*sin(x2*{TWO_PI!r})"]}}
+    assert main(["check", "invariants", "--config", _write(tmp_path, "cfg.json", with_map),
+                 "--format", "json"]) == 1
+    rows = {r.name: r for r in Report.from_json(capsys.readouterr().out).records}
+    assert rows["tension_vs_divergence_form"].status == "fail"
 
 
 def test_divergence_suite_passes_and_fails_honestly(tmp_path, capsys):

@@ -224,6 +224,13 @@ def test_arc_length_closed_forms():
     assert back == pytest.approx(seg - 0.2, rel=1e-12)
 
 
+@pytest.mark.parametrize("curve", [["t"], ["t", "t/2", "t^2"]])
+def test_arc_length_needs_one_curve_component_per_dimension(curve):
+    fs = fn.FinslerStructure.euclidean(2, chart=fn.BoxChart(((-2.0, 2.0), (-2.0, 2.0))))
+    with pytest.raises(ConfigError, match=f"expected 2 curve components, got {len(curve)}"):
+        fn.arc_length(fs, curve, 0.0, 1.0)
+
+
 def test_zero_section_floor_and_chart_violations():
     fs = fn.FinslerStructure.euclidean(2)
     with pytest.raises(ChartError):

@@ -12,7 +12,6 @@ from finvar import expressions as ex
 from finvar import jets as jt
 from finvar import riemann as rm
 from finvar.classical import ClassicalPipeline
-from finvar.config import RunConfig
 from finvar.errors import ConfigError, ExpressionError
 from finvar.finsler import (DomainGeometry, FinslerStructure, PointState,
                             TorusChart, _values)
@@ -22,6 +21,8 @@ from finvar.maps import (MapGeometry, PullbackSection, SmoothMap, bitension,
                          jacobi_apply, pullback_cov_deriv, rough_laplacian,
                          tension, weitzenbock_residual)
 from finvar.riemann import RiemannStructure, christoffel_table, metric_at
+
+from helpers import BATCHES, formula_geometry, formula_map
 
 TWO_PI = 2 * math.pi
 
@@ -205,30 +206,17 @@ def test_sphere_bitension_specialization():
         assert np.allclose(rep.tau2, special, rtol=1e-9)
 
 
-README_CONFIG = {
-    "dimension": 2,
-    "domain": {"type": "randers", "alpha": [["1", "0"], ["0", "1"]],
-               "beta": [f"0.2*sin(x1*{TWO_PI!r})", f"0.2*cos(x2*{TWO_PI!r})"],
-               "chart": {"type": "torus", "periods": [1.0, 1.0]}},
-    "codomain": {"type": "sphere", "radius": 1.0},
-    "map": {"components": [f"0.8 + 0.2*cos(x1*{TWO_PI!r})", f"0.3*sin(x2*{TWO_PI!r})"]},
-}
-
-
-@pytest.mark.parametrize("components", [
-    README_CONFIG["map"]["components"],
-    [f"0.8 + 0.5*cos(x1*{TWO_PI!r}) + 0.2*sin(x2*{TWO_PI!r})",
-     f"0.4*sin(x1*{TWO_PI!r}) + 0.3*cos(x2*{TWO_PI!r})"],
-])
-def test_expanded_tension_matches_the_structural_form(components):
-    # Randers torus -> unit sphere: the README map and the benchmark's base map
-    cfg = RunConfig(dict(README_CONFIG, map={"components": components}))
-    m = cfg.smooth_map()
-    for x, y in cfg.sample_points(20):
-        mg = MapGeometry(m, DomainGeometry(m.fs, x, y, 4))
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("domain", ["randers", "perturbed", "custom", "custom-n3"])
+def test_tension_matches_its_divergence_form(domain, batch):
+    # div(g^{ij}φ_{,j}) reads δ g^{ij} and the trace Γ^i_{ki}, where τ reads
+    # Γ^k_{ij}: they agree by h-metricity and the symmetry of Γ
+    geom = formula_geometry(domain, batch, 4)
+    for rs in (RiemannStructure.sphere(2, 1.0), RiemannStructure.custom(GEN_CODOMAIN, 2)):
+        mg = MapGeometry(formula_map(geom.fs, rs), geom)
         tau = _values(mg.tension)
-        gap = float(np.max(np.abs(tau - _values(mg.structural_tension()))))
-        assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(tau))))
+        gap = float(np.max(np.abs(tau - _values(mg.tension_divergence_form()))))
+        assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(tau))))
 
 
 def test_pullback_connection_is_metric_compatible():

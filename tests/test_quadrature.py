@@ -41,6 +41,15 @@ def test_euclidean_torus_volume():
     assert abs(est.value - 1.0) <= max(4 * est.stderr, 1e-3)
 
 
+def test_a_scalar_integrand_stands_for_its_value_at_every_sample():
+    fs = _torus_euclid()
+    spec = q.QuadratureSpec(x_resolution=2, y_samples=64, seed=3)
+    full = q.integrate(lambda x, y: np.full(y.shape[1], 2.0), fs, spec)
+    for fn in (lambda x, y: 2.0, "2", "x1*0 + 2"):
+        est = q.integrate(fn, fs, spec)
+        assert (est.value, est.stderr) == (full.value, full.stderr)
+
+
 def test_riemannian_volume_matches_gauss_legendre():
     # for a quadratic F² the normalized bundle volume is the Riemannian
     # volume ∫ √det g dx, computed independently by Gauss–Legendre
@@ -250,12 +259,12 @@ def test_first_variation_pass_equals_separate_integrals():
     assert chk.fd == fd
     v_asts = fam.deviation_field(1)
 
-    def tau2_v(x, y):
-        mg = MapGeometry(fam.base, DomainGeometry(fam.base.fs, x, y, 6))
-        V = [jt.eval_ast(a, mg.geom.env) for a in v_asts]
-        return [_values(mg.inner(mg.bitension, V)) * _values(mg.geom.detg)]
+    def tau2_v(geom):
+        mg = MapGeometry(fam.base, geom)
+        V = [jt.eval_ast(a, geom.env) for a in v_asts]
+        return [_values(mg.inner(mg.bitension, V))]
 
-    (est,) = q._assemble(tau2_v, fam.base.fs, spec)
+    (est,) = q._assemble(tau2_v, fam.base.fs, spec, 6)
     assert chk.analytic == est.value
     assert chk.stderr == est.stderr
 

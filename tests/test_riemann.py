@@ -198,6 +198,27 @@ def test_degenerate_plane_rejected():
         rm.sectional_curvature(rs, [0.1, 0.2], [1.0, 2.0], [2.0, 4.0])
 
 
+def test_degenerate_plane_test_is_relative_to_the_metric_scale():
+    # at radius 1e-4 and x = (0.3, 0.2) g = 2.4e-14·I, so the coordinate plane
+    # has |v|²|w|² − ⟨v,w⟩² = 5.6e-28 and is not degenerate
+    rs = rm.RiemannStructure.sphere(2, radius=1e-4)
+    K = rm.sectional_curvature(rs, [0.3, 0.2], [1.0, 0.0], [0.0, 1.0])
+    assert K == pytest.approx(1e8, rel=1e-7)
+    with pytest.raises(SingularMetricError):
+        rm.sectional_curvature(rs, [0.3, 0.2], [1.0, 2.0], [2.0, 4.0])
+
+
+def test_sectional_curvature_reads_the_curvature_of_the_pointwise_route():
+    # R from second partials equals `curvature`'s R (built from third) bit for bit
+    rs = _generic_metric()
+    x, v, w = [0.25, -0.4], np.array([1.0, 0.3]), np.array([-0.2, 1.0])
+    g = rm.metric_at(rs, x)
+    riem = rm.curvature(rs, x).riemann
+    rvww = np.array(rm.riem_apply(riem, v, w, w, 2))
+    denom = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
+    assert rm.sectional_curvature(rs, x, v, w) == float((rvww @ g @ v) / denom)
+
+
 def test_partial_tables_fill_each_level_on_first_read():
     rs = _generic_metric()
     x = [0.25, -0.4]
