@@ -130,10 +130,7 @@ class RunConfig:
         _require_keys(data, _TOP_KEYS, "top level")
         if "dimension" not in data:
             raise ConfigError("top level: missing required key 'dimension'")
-        dimension = data["dimension"]
-        if isinstance(dimension, bool) or not isinstance(dimension, int):
-            raise ConfigError(f"dimension must be an integer, got {dimension!r}")
-        self.dimension = dimension
+        self.dimension = _number(data["dimension"], int, "dimension")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         self.data = data
@@ -292,10 +289,15 @@ class RunConfig:
     def c_grid(self):
         block = self.data.get("perturbation", {})
         grid = _numbers(block.get("c_grid", DEFAULT_C_GRID), float, "perturbation.c_grid")
-        return tuple(_positive(c, f"perturbation.c_grid[{i}]") for i, c in enumerate(grid))
+        grid = tuple(_positive(c, f"perturbation.c_grid[{i}]") for i, c in enumerate(grid))
+        if len(set(grid)) < 2:
+            raise ConfigError(f"perturbation.c_grid must hold at least two distinct scales "
+                              f"to fit a slope through, got {list(grid)!r}")
+        return grid
 
     def quadrature_spec(self, seed_override=None) -> QuadratureSpec:
-        block = dict(self.data.get("quadrature", {}))
+        block = {k: _number(v, int, f"quadrature.{k}")
+                 for k, v in self.data.get("quadrature", {}).items()}
         if seed_override is not None:
             block["seed"] = _number(seed_override, int, "seed")
         return QuadratureSpec(**block)

@@ -104,7 +104,7 @@ class IdentityGeometry:
     @cached_property
     def gamma_tilde(self):
         """Levi-Civita symbols γ̃ of the base metric, from `map_geometry`."""
-        return self.map_geometry.gamma_tilde
+        return self.map_geometry.codomain.gamma
 
     @cached_property
     def Gt(self):
@@ -258,11 +258,15 @@ class ScalingReport:
 
 def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8) -> ScalingReport:
     """Sup-norms of the full nonlinear τ(id), τ₂(id) on a point sample for each
-    scale c, and least-squares slopes of log‖·‖ against log c."""
+    scale c, and least-squares slopes of log‖·‖ against log c. A grid of
+    fewer than two distinct scales has no slope and raises ConfigError."""
     c_grid = np.asarray(DEFAULT_C_GRID if c_grid is None else c_grid, dtype=float)
+    if np.unique(c_grid).size < 2:
+        raise ConfigError(f"c_grid must hold at least two distinct scales to fit a slope "
+                          f"through, got {c_grid.tolist()!r}")
     rng = np.random.default_rng(77)
-    fs0 = setup.with_scale(c_grid[0]).finsler
-    box = fs0.chart.sample_box()
+    subs = [setup.with_scale(c) for c in c_grid]
+    box = subs[0].finsler.chart.sample_box()
     pts = []
     for _ in range(n_points):
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
@@ -272,8 +276,7 @@ def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8)
         pts.append((x, y))
     tau_sup = np.empty(len(c_grid))
     tau2_sup = np.empty(len(c_grid))
-    for ci, c in enumerate(c_grid):
-        sub = setup.with_scale(c)
+    for ci, sub in enumerate(subs):
         idmap = sub.identity_map
         t_max = 0.0
         t2_max = 0.0

@@ -7,10 +7,13 @@ into exact derivative expressions of g̃, so every codomain object is itself a
 domain jet and can be hit with adapted derivatives δ_i.  φ, dφ and the
 pulled-back codomain depend on x alone, so they are jets of the small x-only
 space and enter the (x, y) space only where they meet the domain geometry.
-Each derivative level of g̃ at φ(x) is evaluated on its first read: γ̃ reads
-g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads ∂³g̃. All levels at one point
-come from one evaluation of the structure's derivative DAG, so a
-subexpression shared by several entries or levels is evaluated once.
+The pulled-back codomain is one `riemann.MetricPartials` table,
+`MapGeometry.codomain`: the operators read g̃, γ̃, R̃ and ∇R̃ as its members
+`d0`, `gamma`, `riem` and `nabla`, each built on its first read, and each
+derivative level of g̃ likewise: γ̃ reads g̃ and ∂g̃, R̃ also reads ∂²g̃, and
+∇R̃ also reads ∂³g̃. All levels at one point come from one evaluation of the
+structure's derivative DAG, so a subexpression shared by several entries or
+levels is evaluated once.
 
 Operator conventions (all indices 0-based in code):
 
@@ -52,9 +55,7 @@ from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError
 from .finsler import DomainGeometry, FinslerStructure, ORDER_TABLE, PointState, _values
-from .riemann import (RiemannStructure, christoffel_table, curvature_table,
-                      dchristoffel_table, nabla_curvature_table,
-                      nabla_riem_apply, riem_apply)
+from .riemann import RiemannStructure, nabla_riem_apply, riem_apply
 
 
 class SmoothMap:
@@ -148,9 +149,9 @@ class MapGeometry:
     at one base point (x with an optionally batched y). `geom` is a
     DomainGeometry of `map.fs`; maps over the same domain may share one.
 
-    Every member is computed on first read, and so is each derivative level
-    of g̃ at φ(x): γ̃ reads g̃ and ∂g̃, R̃ also reads ∂²g̃, and ∇R̃ also reads
-    ∂³g̃ (see `codomain`)."""
+    Every member is computed on first read. The codomain geometry at φ(x)
+    has one owner, `codomain`: g̃, γ̃, R̃ and ∇R̃ are its members `d0`,
+    `gamma`, `riem` and `nabla`, each built on its first read."""
 
     def __init__(self, map: SmoothMap, geom: DomainGeometry):
         self.map = map
@@ -170,45 +171,18 @@ class MapGeometry:
 
     @cached_property
     def codomain(self):
-        """Codomain metric partial tables at φ(x) as domain jets; each level
-        is evaluated when an operator first reads it."""
+        """The codomain's metric partials and Levi-Civita geometry at φ(x),
+        as domain jets; each level and member is built when an operator
+        first reads it."""
         env = {self.map.rs.coords[a]: self.phi[a] for a in range(self.m)}
         return self.map.rs.partials_at(env)
-
-    @cached_property
-    def gtilde(self):
-        return self.codomain.d0
-
-    @cached_property
-    def _gamma_tilde_tables(self):
-        return christoffel_table(self.codomain)
-
-    @property
-    def gamma_tilde(self):
-        return self._gamma_tilde_tables[0]
-
-    @cached_property
-    def _dgamma_tilde_tables(self):
-        """∂γ̃ and ∂(g̃⁻¹), shared by R̃ and ∇R̃."""
-        gamma, ginv = self._gamma_tilde_tables
-        return dchristoffel_table(self.codomain, gamma, ginv)
-
-    @cached_property
-    def riem_tilde(self):
-        return curvature_table(self.gamma_tilde, self._dgamma_tilde_tables[0], self.m)
-
-    @cached_property
-    def nabla_riem_tilde(self):
-        gamma, ginv = self._gamma_tilde_tables
-        dgamma, dginv = self._dgamma_tilde_tables
-        return nabla_curvature_table(self.codomain, gamma, dgamma, ginv, dginv, self.riem_tilde)
 
     # --- pullback connection ------------------------------------------------------
 
     def cov_deriv(self, S, i: int):
         """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ}(φ) φ^β_{,i} S^γ, the connection
         term built at the order of δ_i S^α (φ^β_{,i} cut to it first)."""
-        gamma, m = self.gamma_tilde, self.m
+        gamma, m = self.codomain.gamma, self.m
         out = []
         for a in range(m):
             dS = self.geom.delta(S[a], i)
@@ -219,7 +193,7 @@ class MapGeometry:
 
     def inner(self, S, T):
         """⟨S, T⟩ = g̃_{αβ}(φ) S^α T^β."""
-        return jt.sum_terms([self.gtilde[a][b] * S[a] * T[b]
+        return jt.sum_terms([self.codomain.d0[a][b] * S[a] * T[b]
                              for a in range(self.m) for b in range(self.m)])
 
     # --- tension --------------------------------------------------------------------
@@ -227,7 +201,7 @@ class MapGeometry:
     @cached_property
     def tension(self):
         """τ^α in the expanded form of the module docstring."""
-        n, m, gamma, dphi = self.n, self.m, self.gamma_tilde, self.dphi
+        n, m, gamma, dphi = self.n, self.m, self.codomain.gamma, self.dphi
         xn = self.map.fs.xnames
         return [self.geom.horizontal_trace(
             [[dphi[a][i].deriv(xn[j]) + jt.sum_terms([gamma[a][b][c] * dphi[b][i] * dphi[c][j]
@@ -237,7 +211,7 @@ class MapGeometry:
     def tension_divergence_form(self):
         """τ^α = div(g^{ij}φ^α_{,j}) + g^{ij}γ̃^α_{βγ}φ^β_{,i}φ^γ_{,j}, with no
         `horizontal_trace`; `check invariants` compares it with `tension`."""
-        n, m, g, gamma, dphi = self.n, self.m, self.geom, self.gamma_tilde, self.dphi
+        n, m, g, gamma, dphi = self.n, self.m, self.geom, self.codomain.gamma, self.dphi
         return [g.divergence_of([jt.sum_terms([g.ginv[i][j] * dphi[a][j] for j in range(n)])
                                  for i in range(n)])
                 + g.contract([[jt.sum_terms([gamma[a][b][c] * dphi[b][i] * dphi[c][j]
@@ -260,7 +234,7 @@ class MapGeometry:
         """g^{ij} R̃(dφ(δ_i), S) dφ(δ_j), the trace term of J; R̃ is applied
         once per (i, j) and every component is read from it."""
         n, m = self.n, self.m
-        riem = self.riem_tilde
+        riem = self.codomain.riem
         cols = [[self.dphi[b][i] for b in range(m)] for i in range(n)]
         applied = [[riem_apply(riem, cols[i], S, cols[j], m) for j in range(n)] for i in range(n)]
         return [self.geom.contract([[applied[i][j][a] for j in range(n)] for i in range(n)])
@@ -282,7 +256,7 @@ class MapGeometry:
         """e(φ) = ½ g^{ij} g̃_{αβ}(φ) φ^α_{,i} φ^β_{,j}."""
         g = self.geom
         return 0.5 * jt.sum_terms(
-            [g.ginv[i][j] * self.gtilde[a][b] * self.dphi[a][i] * self.dphi[b][j]
+            [g.ginv[i][j] * self.codomain.d0[a][b] * self.dphi[a][i] * self.dphi[b][j]
              for i in range(self.n) for j in range(self.n)
              for a in range(self.m) for b in range(self.m)])
 
@@ -315,8 +289,7 @@ class MapGeometry:
         before D_{δ_j}.
         """
         n, m, g = self.n, self.m, self.geom
-        riem = self.riem_tilde
-        nabla = self.nabla_riem_tilde
+        riem, nabla = self.codomain.riem, self.codomain.nabla
         JJ = self.jacobi(self.jacobi(V2))
         r = jt.least_order(JJ)
         Dtau = [self.cov_deriv(jt.truncated(self.tension, r + 1), j) for j in range(n)]

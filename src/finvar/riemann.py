@@ -17,6 +17,9 @@ All combination helpers are generic over the scalar type: they run on plain
 numpy values for pointwise queries and on domain jets when the codomain
 objects are pulled back through a map.
 
+A `MetricPartials` table owns g⁻¹ → γ → ∂γ → R → ∇R at its point; the
+pointwise operations and every pullback (`maps.MapGeometry.codomain`) read it.
+
 The partials of g̃ that a pullback reads are exact derivative ASTs, derived
 through one `expressions.Calculus` per structure, so every entry and level
 is one DAG; `partials_at` evaluates it with one `jets.AstEvaluator` per
@@ -113,14 +116,20 @@ def _level(order: int):
 
 
 class MetricPartials:
-    """Metric and its coordinate partials, entries jets or arrays.
+    """Metric and its coordinate partials, entries jets or arrays, and the
+    Levi-Civita geometry built from them.
 
     d0[a][b] = g_ab, d1[c][a][b] = g_ab,c, d2[c][d][a][b] = g_ab,cd,
     d3[c][d][e][a][b] = g_ab,cde. `entry(t)` gives the matrix of partials of
     g along the sorted coordinate tuple t; it runs once per tuple, and each
-    level is evaluated on its first read. So a table holds what its readers
-    need: γ̃ reads d0 and d1, R̃ also reads d2, and ∇R̃ also reads d3.
-    Reading a level above `max_order` raises `OrderLimitError`.
+    level is evaluated on its first read. Reading a level above `max_order`
+    raises `OrderLimitError`.
+
+    The geometry is built on first read too: `ginv` and `gamma`
+    (`christoffel_table`, reading d0 and d1), `riem` (`curvature_table`, also
+    reading d2) and `nabla` (`nabla_curvature_table`, also reading d3); ∂γ
+    and ∂(g⁻¹) (`dchristoffel_table`) are built once for both. So a table
+    holds what its readers need, and every reader of γ̃, R̃ or ∇R̃ reads it.
     """
 
     def __init__(self, dim: int, entry, max_order: int):
@@ -129,6 +138,15 @@ class MetricPartials:
         self._entry = cache(entry)
 
     d0, d1, d2, d3 = (_level(k) for k in range(4))
+
+    # (γ, g⁻¹) and (∂γ, ∂g⁻¹); the lambdas call the table functions by their
+    # module names when first read
+    _christoffel = cached_property(lambda p: christoffel_table(p))
+    gamma = property(lambda p: p._christoffel[0])
+    ginv = property(lambda p: p._christoffel[1])
+    _dchristoffel = cached_property(lambda p: dchristoffel_table(p))
+    riem = cached_property(lambda p: curvature_table(p.gamma, p._dchristoffel[0], p.dim))
+    nabla = cached_property(lambda p: nabla_curvature_table(p))
 
 
 def levi_civita(d1, ginv):
@@ -152,9 +170,9 @@ def christoffel_table(p: MetricPartials):
     return levi_civita(p.d1, ginv), ginv
 
 
-def dchristoffel_table(p: MetricPartials, gamma, ginv):
-    """dgamma[d][a][b][c] = d_d gamma^a_bc."""
-    n = p.dim
+def dchristoffel_table(p: MetricPartials):
+    """dgamma[d][a][b][c] = d_d gamma^a_bc, and dginv[d] = d_d g^-1."""
+    n, ginv = p.dim, p.ginv
     dginv = [_dginv(ginv, p.d1[d]) for d in range(n)]
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for d in range(n):
@@ -193,9 +211,10 @@ def curvature_table(gamma, dgamma, dim):
     return riem
 
 
-def nabla_curvature_table(p: MetricPartials, gamma, dgamma, ginv, dginv, riem):
+def nabla_curvature_table(p: MetricPartials):
     """nabla[m][b][a][c][d] = (covariant derivative of R in direction m)."""
-    n = p.dim
+    n, gamma, ginv, riem = p.dim, p.gamma, p.ginv, p.riem
+    dgamma, dginv = p._dchristoffel
     # second partials of gamma, needed for the plain partial of R
     d2gamma = [[None] * n for _ in range(n)]
     d2ginv = [[None] * n for _ in range(n)]
@@ -378,18 +397,13 @@ class CurvatureField:
 
 def christoffel(rs: RiemannStructure, x) -> np.ndarray:
     """Levi-Civita symbols gamma^a_bc at x, shape (dim, dim, dim)."""
-    p = rs.partials_from_jets(x, 1)
-    gamma, _ = christoffel_table(p)
-    return np.array(gamma, dtype=float)
+    return np.array(rs.partials_from_jets(x, 1).gamma, dtype=float)
+
 
 def curvature(rs: RiemannStructure, x) -> CurvatureField:
     p = rs.partials_from_jets(x, 3)
-    gamma, ginv = christoffel_table(p)
-    dgamma, dginv = dchristoffel_table(p, gamma, ginv)
-    riem = curvature_table(gamma, dgamma, rs.dim)
-    nabla = nabla_curvature_table(p, gamma, dgamma, ginv, dginv, riem)
-    return CurvatureField(riemann=np.array(riem, dtype=float),
-                          nabla=np.array(nabla, dtype=float))
+    return CurvatureField(riemann=np.array(p.riem, dtype=float),
+                          nabla=np.array(p.nabla, dtype=float))
 
 
 def metric_at(rs: RiemannStructure, x) -> np.ndarray:
@@ -408,9 +422,6 @@ def sectional_curvature(rs: RiemannStructure, x, v, w) -> float:
     denom = vv * ww - (v @ g @ w) ** 2
     if abs(denom) <= 1e-14 * vv * ww:
         raise SingularMetricError("degenerate plane for sectional curvature")
-    p = rs.partials_from_jets(x, 2)
-    gamma, ginv = christoffel_table(p)
-    riem = np.array(curvature_table(gamma, dchristoffel_table(p, gamma, ginv)[0], rs.dim),
-                    dtype=float)
+    riem = np.array(rs.partials_from_jets(x, 2).riem, dtype=float)
     rvww = np.array(riem_apply(riem, v, w, w, rs.dim))
     return float((rvww @ g @ v) / denom)

@@ -439,7 +439,7 @@ def reference_horizontal_laplacian(geom, f):
 def reference_tension(mg):
     """τ^α = g^{ij}(φ^α_{,ij} + γ̃^α_{βγ}φ^β_{,i}φ^γ_{,j} − Γ^k_{ij}φ^α_{,k} − P_i φ^α_{,j})."""
     n, m, g = mg.n, mg.m, mg.geom
-    gamma, dphi, xn = mg.gamma_tilde, mg.dphi, mg.map.fs.xnames
+    gamma, dphi, xn = mg.codomain.gamma, mg.dphi, mg.map.fs.xnames
     out = []
     for a in range(m):
         terms = []
@@ -483,7 +483,7 @@ def reference_rough_laplacian(mg, S):
 
 def reference_cov_deriv(mg, S, i):
     """(D_{δ_i}S)^α = δ_i S^α + γ̃^α_{βγ} φ^β_{,i} S^γ, the connection term uncut."""
-    gamma, m = mg.gamma_tilde, mg.m
+    gamma, m = mg.codomain.gamma, mg.m
     return [mg.geom.delta(S[a], i)
             + jt.sum_terms([gamma[a][b][c] * mg.dphi[b][i] * S[c]
                             for b in range(m) for c in range(m)])
@@ -513,7 +513,7 @@ def reference_jacobi(mg, S):
     lap = [-reference_horizontal_trace(g, [[DDS[i][j][a] for j in range(n)] for i in range(n)],
                                        [DS[k][a] for k in range(n)]) for a in range(m)]
     cols = [[mg.dphi[b][i] for b in range(m)] for i in range(n)]
-    applied = [[riem_apply(mg.riem_tilde, cols[i], S, cols[j], m) for j in range(n)]
+    applied = [[riem_apply(mg.codomain.riem, cols[i], S, cols[j], m) for j in range(n)]
                for i in range(n)]
     tr = [jt.sum_terms([g.ginv[i][j] * applied[i][j][a] for i in range(n) for j in range(n)])
           for a in range(m)]
@@ -526,7 +526,7 @@ def reference_hessian_integrand(mg, V1, V2):
     from finvar.riemann import nabla_riem_apply, riem_apply
 
     n, m, g = mg.n, mg.m, mg.geom
-    tau, riem, nabla = mg.tension, mg.riem_tilde, mg.nabla_riem_tilde
+    tau, riem, nabla = mg.tension, mg.codomain.riem, mg.codomain.nabla
     JJ = reference_jacobi(mg, reference_jacobi(mg, V2))
     total = [jj + r for jj, r in zip(JJ, riem_apply(riem, V2, tau, tau, m))]
     Dtau = [reference_cov_deriv(mg, tau, j) for j in range(n)]

@@ -253,6 +253,13 @@ NO_GEOMETRY = [
     ("tension", {"tolerances": {"harmonic": "0.1"}}, [], "tolerances.harmonic"),
     ("geom", _torus(["1", 1]), ["--point", "0.1,0.2,1,0"], "domain.chart.periods[0]"),
     ("tension", _sphere(radius=1e-100), [], "codomain.radius"),     # ρ⁴ underflows to 0
+    ("check", {"perturbation": {"b": "x1*y1^2", "c_grid": []}}, ["identity"],
+     "perturbation.c_grid"),
+    ("identity-analysis", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01]}}, [],
+     "perturbation.c_grid"),
+    ("check", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, 0.01]}}, ["identity"],
+     "perturbation.c_grid"),                                       # one distinct scale
+    ("energy", {"quadrature": {"x_resolution": "2"}}, [], "quadrature.x_resolution"),
 ]
 
 
@@ -360,8 +367,12 @@ def test_numbers_that_describe_no_geometry_name_the_key(tmp_path, capsys, comman
 
 
 def test_an_integral_float_is_an_integer_key(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **_sphere(dimension=2.0)})
-    assert main(["tension", "--config", cfg, "--point", "0.1,0.2,1,0"]) == 0
+    for command, change in (("tension", _sphere(dimension=2.0)),
+                            ("tension", {"dimension": 2.0}),
+                            ("energy", {"quadrature": {"x_resolution": 2.0, "y_samples": 16}})):
+        cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, **change})
+        extra = ["--point", "0.1,0.2,1,0"] if command == "tension" else []
+        assert main([command, "--config", cfg, *extra]) == 0, change
 
 
 @pytest.mark.parametrize("kind, dim", [("sphere", 0), ("sphere", -2), ("euclidean", 0)])

@@ -8,7 +8,7 @@ import pytest
 from finvar import identity as idn
 from finvar import riemann as rm
 from finvar.errors import ConfigError, DomainEvalError
-from finvar.finsler import BoxChart, PointState, _values
+from finvar.finsler import BoxChart, FinslerStructure, PointState, _values
 from finvar.maps import MapGeometry
 
 BOX = BoxChart(((-1.0, 1.0), (-1.0, 1.0)))
@@ -141,6 +141,23 @@ def test_a_zero_sup_norm_has_no_slope():
         idn.linearized_scaling(setup, n_points=2)
 
 
+@pytest.mark.parametrize("c_grid", [(), (0.01,), (0.01, 0.01)])
+def test_a_grid_of_fewer_than_two_scales_has_no_slope(c_grid):
+    setup = _generic_setup()
+    with pytest.raises(ConfigError, match="at least two distinct scales"):
+        idn.linearized_scaling(setup, c_grid=c_grid, n_points=2)
+
+
+def test_scaling_builds_one_structure_per_scale(monkeypatch):
+    validated = []
+    validate = FinslerStructure._validate
+    monkeypatch.setattr(FinslerStructure, "_validate",
+                        lambda fs: validated.append(fs) or validate(fs))
+    setup = idn.PerturbationSetup(EYE, "x1*x2*y1^4/(y1^2 + y2^2)", 2, chart=BOX)
+    idn.linearized_scaling(setup, n_points=2)
+    assert len(validated) == len(idn.DEFAULT_C_GRID)
+
+
 def test_identity_geometry_pulls_the_base_metric_back_once(monkeypatch):
     # γ̃ of the §7 routes is the identity map's own pulled-back γ̃, and the
     # general route reads the tension of that same MapGeometry
@@ -149,7 +166,7 @@ def test_identity_geometry_pulls_the_base_metric_back_once(monkeypatch):
     ig = idn.IdentityGeometry(setup, p.x, p.y, 6)
     mg = ig.map_geometry
     assert mg.map is setup.identity_map and mg.geom is ig.geom
-    assert ig.gamma_tilde is mg.gamma_tilde
+    assert ig.gamma_tilde is mg.codomain.gamma
     assert np.allclose(_values(ig.gamma_tilde), rm.christoffel(setup.base_structure, p.x),
                        rtol=1e-12, atol=1e-12)
     rep = ig.tension_report()

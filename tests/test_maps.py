@@ -402,9 +402,9 @@ def test_map_geometry_evaluates_each_codomain_level_on_first_read():
     tau2 = _values(mg.bitension)
     assert _filled_levels(mg.codomain) == ["d0", "d1", "d2"]
     field = rm.curvature(rs, m.value(x))
-    assert np.allclose(_values(mg.nabla_riem_tilde), field.nabla, rtol=1e-10, atol=1e-10)
+    assert np.allclose(_values(mg.codomain.nabla), field.nabla, rtol=1e-10, atol=1e-10)
     assert _filled_levels(mg.codomain) == ["d0", "d1", "d2", "d3"]
-    assert np.allclose(_values(mg.riem_tilde), field.riemann, rtol=1e-10, atol=1e-10)
+    assert np.allclose(_values(mg.codomain.riem), field.riemann, rtol=1e-10, atol=1e-10)
     rep = bitension(m, p)
     assert np.allclose(tau, rep.tau, rtol=1e-12, atol=1e-12)
     assert np.allclose(tau2, rep.tau2, rtol=1e-10, atol=1e-10)

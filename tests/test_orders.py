@@ -229,3 +229,10 @@ def test_each_pointwise_command_builds_one_geometry_per_point(geometry_count, tm
     assert "proportionality_residual" in [r.name for r in rep.records]
     # 10 sample points, and 8 points per scale of the scaling fit (2 scales)
     assert geometry_count == {"domain": 10 + 2 * 8, "identity": 10}
+
+
+def test_check_invariants_builds_one_geometry_per_point(geometry_count, tmp_path):
+    rep = _cli(tmp_path, README_CONFIG, "check", "invariants")
+    assert "tension_vs_divergence_form" in [r.name for r in rep.records]
+    # 20 sample points, each geometry shared by the domain rows and the map's row
+    assert geometry_count == {"domain": 20, "identity": 0}

@@ -232,6 +232,29 @@ def test_partial_tables_fill_each_level_on_first_read():
         via_jets.d2
 
 
+def test_a_table_builds_its_christoffel_derivatives_once(monkeypatch):
+    # ∂γ and ∂(g⁻¹) are one member, shared by ∇R (read first) and R
+    calls = []
+    build = rm.dchristoffel_table
+    monkeypatch.setattr(rm, "dchristoffel_table", lambda p: calls.append(p) or build(p))
+    rs = _generic_metric()
+    table = rs.partials_at({rs.coords[i]: x for i, x in enumerate([0.25, -0.4])})
+    nabla, riem = table.nabla, table.riem
+    assert calls == [table]
+    assert table.riem is riem and table.nabla is nabla
+
+
+def test_curvature_reads_the_members_of_the_pointwise_table():
+    rs = _generic_metric()
+    x = [0.25, -0.4]
+    field = rm.curvature(rs, x)
+    table = rs.partials_from_jets(x, 3)
+    for got, member in ((field.riemann, table.riem), (field.nabla, table.nabla)):
+        want = np.array(member, dtype=float)
+        assert got.shape == want.shape
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+
+
 # --- the shared derivative DAG against the unshared derive-and-walk path ---------
 
 _GEN_B = "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2) + 0.2*sin(x1)*y1^3*y2/(y1^2 + y2^2)"

@@ -161,7 +161,7 @@ class _ProductOrders:
 def _map_geometry(domain):
     geom = formula_geometry(domain, "batched", 6)
     mg = MapGeometry(formula_map(geom.fs, RiemannStructure.sphere(2, 1.0)), geom)
-    mg.tension, mg.gamma_tilde, mg.riem_tilde, mg.nabla_riem_tilde, geom.P_i   # not counted
+    mg.tension, mg.codomain.gamma, mg.codomain.riem, mg.codomain.nabla, geom.P_i   # not counted
     return mg, [V.jets(mg) for V in _sections(geom.fs)]
 
 
