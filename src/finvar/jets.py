@@ -10,7 +10,12 @@ spaces of different order.
 
 Coefficients carry an optional trailing batch shape, so one Jet can
 represent the same expression evaluated at many fiber points at once;
-all arithmetic broadcasts over the batch.
+all arithmetic broadcasts over the batch. A point gives the same bits
+batch-free, as a batch of one and inside any batch: every kernel is
+elementwise over the batch, and a power of a value (the coefficients of
+`reciprocal` and `log`) is taken on an array, a 0-d one when the jet is
+batch-free, because NumPy's scalar `**` calls C `pow`, which differs from
+the array loop in the last bit.
 
 A jet lives in the space of the variables it was seeded from: a quantity of
 the base point x alone in the x-only space `jet_space(xnames, r)`, one of the
@@ -509,8 +514,8 @@ class Jet:
         return acc
 
     def reciprocal(self):
-        a = self.value
-        if not np.all(np.asarray(a) != 0):
+        a = np.asarray(self.value)
+        if not np.all(a != 0):
             raise DomainEvalError("division by zero")
         return self._compose([(-1.0) ** k / a ** (k + 1) for k in range(self.order + 1)])
 
@@ -531,8 +536,8 @@ class Jet:
         return self._compose([e / fact[k] for k in range(self.order + 1)])
 
     def log(self):
-        a = self.value
-        if not np.all(np.asarray(a) > 0):
+        a = np.asarray(self.value)
+        if not np.all(a > 0):
             raise DomainEvalError("log of a non-positive value")
         coeffs = [np.log(a)]
         for k in range(1, self.order + 1):

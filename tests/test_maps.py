@@ -22,7 +22,7 @@ from finvar.maps import (MapGeometry, PullbackSection, SmoothMap, bitension,
                          tension, weitzenbock_residual)
 from finvar.riemann import RiemannStructure, christoffel_table, metric_at
 
-from helpers import BATCHES, formula_geometry, formula_map
+from helpers import BATCHES, DOMAINS, formula_geometry, formula_map
 
 TWO_PI = 2 * math.pi
 
@@ -217,6 +217,34 @@ def test_tension_matches_its_divergence_form(domain, batch):
         tau = _values(mg.tension)
         gap = float(np.max(np.abs(tau - _values(mg.tension_divergence_form()))))
         assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(tau))))
+
+
+def _hex_coefficients(table):
+    """Float hex of every coefficient of a jet, a nested list of jets or a value."""
+    if isinstance(table, list):
+        return [h for t in table for h in _hex_coefficients(t)]
+    return [float(v).hex() for v in np.ravel(table.c if isinstance(table, jt.Jet) else table)]
+
+
+@pytest.mark.parametrize("domain", ["randers", "perturbed", "euclidean", "custom-n3"])
+def test_a_point_gives_the_same_bits_batch_free_and_batched(domain):
+    # a batch-free jet's value is a NumPy scalar, whose `**` calls C pow
+    # where an array runs the ufunc loop: the two differ in the last bit
+    fs = DOMAINS[domain]()
+    rs = RiemannStructure.sphere(2, 1.0)
+    phi = formula_map(fs, rs)
+    V1 = PullbackSection(["sin(x1) + 0.3*y1*y2", "cos(x2)*y1"])
+    V2 = PullbackSection(["0.2*cos(x2)*y2", "sin(x1)*x2 + 0.1*y1"])
+    rng = np.random.default_rng(7)
+
+    def outputs(x, y):
+        mg = MapGeometry(phi, DomainGeometry(fs, x, y, 6))
+        return [_hex_coefficients(t) for t in (mg.tension, mg.bitension,
+                                               mg.hessian_integrand(V1.jets(mg), V2.jets(mg)))]
+
+    for _ in range(10):
+        x, y = rng.uniform(0.0, 1.0, fs.dim), rng.normal(size=fs.dim)
+        assert outputs(x, y) == outputs(x, y[:, None]), (x, y)
 
 
 def test_pullback_connection_is_metric_compatible():
