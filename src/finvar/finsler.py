@@ -322,12 +322,17 @@ def adapted_derivative(fs: FinslerStructure, N, jet, i):
 
 
 class DomainGeometry:
-    """All jets of the intrinsic geometry at one base point.
+    """All jets of the intrinsic geometry at one base point, or at a stack
+    of them.
 
-    x components are scalars; y components may carry a trailing batch axis,
+    x of shape (n,) is one base point, whose y may carry trailing batch axes,
     in which case every derived quantity is batched over the fiber samples.
-    All members are jets; use `.value` (or `values()` on nested tables) for
-    the numbers.
+    x of shape (n, G) is G base points with y of shape (n, G, K), K fibers a
+    point: x-only jets carry the node axis as a (G, 1) batch and (x, y) jets
+    a (G, K) batch, and every kernel is elementwise over the batch, so each
+    node's values are bitwise those of its own geometry. The chart is
+    checked at each point. All members are jets; use `.value` (or
+    `values()` on nested tables) for the numbers.
 
     `env` binds each x name to a variable of the x-only jet space and each y
     name to a variable of the y-only space, both of order `order`. So every
@@ -352,10 +357,14 @@ class DomainGeometry:
         self.order = order
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if x.shape != (self.n,):
+        if x.shape[:1] != (self.n,) or x.ndim > 2:
             raise ChartError(f"expected {self.n} base coordinates")
-        if not fs.chart.contains(x):
-            raise ChartError(f"point {x} outside the chart")
+        if x.ndim == 2 and (y.ndim != 3 or y.shape[:2] != x.shape):
+            raise ChartError(f"a stack of {x.shape[1]} base points needs fibers of shape "
+                             f"({self.n}, {x.shape[1]}, K)")
+        for point in (x.T if x.ndim == 2 else [x]):
+            if not fs.chart.contains(point):
+                raise ChartError(f"point {point} outside the chart")
         if not np.all(np.isfinite(y)):
             raise ChartError("fiber coordinate is not finite")
         ynorm = np.sqrt(sum(np.asarray(y[i]) ** 2 for i in range(self.n)))
@@ -363,7 +372,8 @@ class DomainGeometry:
             raise ChartError(f"fiber coordinate below the zero-section floor {DEFAULT_R_MIN}")
         self.x = x
         self.y = y
-        self.env = jt.jet_space(fs.xnames, order).point_env(dict(zip(fs.xnames, x)))
+        self.env = jt.jet_space(fs.xnames, order).point_env(
+            dict(zip(fs.xnames, x if x.ndim == 1 else x[:, :, None])))
         self.env.update(jt.jet_space(fs.ynames, order).point_env(
             {fs.ynames[i]: np.asarray(y[i], dtype=np.float64) for i in range(self.n)}))
 

@@ -15,7 +15,11 @@ batch-free, as a batch of one and inside any batch: every kernel is
 elementwise over the batch, and a power of a value (the coefficients of
 `reciprocal` and `log`) is taken on an array, a 0-d one when the jet is
 batch-free, because NumPy's scalar `**` calls C `pow`, which differs from
-the array loop in the last bit.
+the array loop in the last bit. A batched product whose Leibniz triples ×
+batch lanes (of the larger operand) exceed `LEIBNIZ_BLOCK` runs in slices of
+its flattened batch (`_leibniz_blocked`), which bounds its gather
+temporaries; each lane is gathered, weighed and summed as in one pass, so no
+bit moves. A batch-free product runs no such check.
 
 A jet lives in the space of the variables it was seeded from: a quantity of
 the base point x alone in the x-only space `jet_space(xnames, r)`, one of the
@@ -94,6 +98,10 @@ from . import expressions as ex
 from .errors import DomainEvalError, OrderLimitError
 
 K_MAX = 8  # τ₂ and the Hessian integrand need order 6 (finsler.ORDER_TABLE); tests use 8
+#: Elements (Leibniz triples × batch lanes) of the largest gather a product
+#: runs at once; a larger batched product runs in lane slices of this size.
+#: Chosen by a sweep recorded in BENCH_stack-nodes.json.
+LEIBNIZ_BLOCK = 1 << 16
 
 
 # --- jet space: multi-index tables, cached per (variables, order) -------------
@@ -418,7 +426,8 @@ class Jet:
         docstring), or the scaled coefficients for a number.
 
         A product with a zero factor is a fresh zero jet and runs no kernel,
-        so 0 × inf and 0 × NaN give 0 there, where the kernel gives NaN."""
+        so 0 × inf and 0 × NaN give 0 there, where the kernel gives NaN. A
+        batched product above `LEIBNIZ_BLOCK` elements runs in lane slices."""
         if not isinstance(other, Jet):
             if isinstance(other, _NUMBERS):
                 return Jet(self.space, self.c * other, self.order,
@@ -444,8 +453,15 @@ class Jet:
             ia, ib = sp._outer_rows(a.space, b.space, r)
             return Jet(sp, ac[ia] * bc[ib], r)
         ii, jj, ww, starts = sp._mul_tables[r]
-        prod = ac[ii] * bc[jj]
-        prod *= ww if prod.ndim == 1 else ww.reshape((-1,) + (1,) * (prod.ndim - 1))
+        if ac.ndim == 1:
+            prod = ac[ii] * bc[jj]
+        elif len(ii) * max(ac.size // len(ac), bc.size // len(bc)) > LEIBNIZ_BLOCK:
+            return Jet(sp, _leibniz_blocked(ac, bc, ii, jj, ww, starts), r)
+        else:
+            # `take` gathers rows of a batch faster than fancy indexing
+            prod = ac.take(ii, axis=0) * bc.take(jj, axis=0)
+            ww = ww.reshape((-1,) + (1,) * (ac.ndim - 1))
+        prod *= ww
         return Jet(sp, np.add.reduceat(prod, starts, axis=0), r)
 
     __rmul__ = __mul__
@@ -578,6 +594,24 @@ class Jet:
             for k in range(1, K + 1):
                 coeffs.append(w[k - 1] / k)
         return self._compose(coeffs)
+
+
+def _leibniz_blocked(ac, bc, ii, jj, ww, starts):
+    """The Leibniz kernel of `Jet.__mul__` over the broadcast batch of `ac`
+    and `bc`, flattened and run in slices of at most LEIBNIZ_BLOCK // triples
+    lanes (at least one): each slice gathers, weighs and sums its lanes as
+    the whole batch would, so the bits are the same."""
+    batch = np.broadcast_shapes(ac.shape[1:], bc.shape[1:])
+    a = np.broadcast_to(ac, ac.shape[:1] + batch).reshape(len(ac), -1)
+    b = np.broadcast_to(bc, bc.shape[:1] + batch).reshape(len(bc), -1)
+    out = np.empty((len(starts), a.shape[1]))
+    step = max(1, LEIBNIZ_BLOCK // len(ii))
+    w = ww[:, None]
+    for s in range(0, a.shape[1], step):
+        prod = a[:, s:s + step].take(ii, axis=0) * b[:, s:s + step].take(jj, axis=0)
+        prod *= w
+        out[:, s:s + step] = np.add.reduceat(prod, starts, axis=0)
+    return out.reshape((len(starts),) + batch)
 
 
 def sum_terms(terms):

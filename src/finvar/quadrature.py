@@ -10,13 +10,18 @@ Euclidean bounding ball of per-point radius SAFETY / min_{‖u‖=1} F(x, u)
 floor `finsler.DEFAULT_R_MIN`, and the base integral by a periodic
 trapezoidal rule (torus charts) or a Gauss–Legendre product rule (box charts).
 
-Every functional and check supplies only its integrands α, read off a node's
-geometry; `_assemble` builds that `DomainGeometry` and applies det g.
+Every functional and check supplies only its integrands α, read off a
+geometry; `_assemble` builds that `DomainGeometry` and applies det g. It
+builds one geometry per stack of a stride's nodes, the nodes along the batch
+axis (vector-mode Taylor propagation, Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13), and reduces every node's own fibers on their
+own.
 
 Reproducibility: every x-node owns a counter-based Philox stream keyed by
 (seed, node index), and the node reduction runs in a fixed order in the
-calling process, so a fixed spec yields bit-identical estimates regardless of
-the worker count.  Because the fiber samples depend only on (domain
+calling process. Every jet kernel is elementwise over the batch, so a fixed
+spec yields bit-identical estimates regardless of the worker count and of
+how the nodes are stacked.  Because the fiber samples depend only on (domain
 structure, spec), every ε-shifted evaluation in the finite-difference
 variational checks reuses the same samples (common random numbers), which is
 what lets the FD noise cancel.
@@ -47,6 +52,9 @@ from .maps import MapGeometry, PullbackSection, SmoothMap, VariationFamily
 
 #: The bounding ball's radius times min_{‖u‖=1} F(x, u); below 1 the ball would cut B_x.
 SAFETY = 1.1
+#: Fiber lanes of one stacked geometry (`_stacks`): its nodes × their largest
+#: accepted count. Chosen by a sweep recorded in BENCH_stack-nodes.json.
+STACK_FIBERS = 400
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,10 @@ class QuadratureSpec:
     `workers` processes share out the x-nodes in strides: the caller
     evaluates nodes 0, w, 2w, …, and a forked child each further stride.
     w is `workers` capped at the node count and at `os.cpu_count()`, so a
-    large `workers` never starts more processes than there are CPUs.
-    Estimates are bitwise identical for any worker count. Side effects of a
+    large `workers` never starts more processes than there are CPUs. A
+    stride holds stacks: its nodes, in order of accepted fiber count, share
+    one geometry per `STACK_FIBERS` lanes (`_assemble`). Estimates are
+    bitwise identical for any worker count. Side effects of a
     callable integrand in a child's stride do not come back to the caller.
     Without `os.fork` the nodes run serially (README gives timings of two
     workers against one). Every integral and every check draws each node's
@@ -80,15 +90,13 @@ class QuadratureSpec:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"quadrature {f.name} must be of type {f.type}, "
                                   f"got {value!r}")
-        if self.x_resolution < 2:
-            raise ConfigError("x resolution must be >= 2")
-        if self.y_samples < 2:
-            raise ConfigError("y sample count must be >= 2")
-        if self.workers < 1:
-            raise ConfigError("worker count must be >= 1")
+        for name, least in (("x_resolution", 2), ("y_samples", 2), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"quadrature.{name} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
         if not 0 <= self.seed < 2 ** 32:
             # the Philox key is (seed << 32) + node index in 64 bits
-            raise ConfigError("seed must be in [0, 2^32)")
+            raise ConfigError(f"quadrature.seed must be in [0, 2^32), got {self.seed}")
 
 
 @dataclass
@@ -190,36 +198,52 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
     """Normalized unit-ball-bundle integral of a scalar integrand.
 
     `fn` is either an expression (source or AST, variables x1.., y1..) or a
-    callable `(x, y_batch) -> values` evaluated on the accepted samples; a
+    callable `(x, y_batch) -> values` called node by node on its accepted samples; a
     scalar value stands for the same value at every sample.
     """
     if not callable(fn):
         fn = functools.partial(fs.evaluate, ex.parse(fn, fs.xnames + fs.ynames))
-    return _assemble(lambda geom: [fn(geom.x, geom.y)], fs, spec, ORDER_TABLE["metric"],
+
+    def rows(geom):
+        # `fn` node by node, on the node's x and its accepted fibers
+        row = np.zeros(geom.y.shape[1:])
+        for g, (x, y) in enumerate(geom.nodes):
+            row[g, :y.shape[1]] = fn(x, y)
+        return [row]
+
+    return _assemble(rows, fs, spec, ORDER_TABLE["metric"],
                      structure_hash=_hash_of(fs.label, ex.to_source(fs.f2_ast)))[0]
 
 
-def _run_stride(fn, tasks, k: int, w: int):
-    """fn over tasks[k::w] in order, up to the first failure: (results,
-    (task index, exception) of that failure or None)."""
+def _run_stride(fn, part):
+    """fn over the tasks of `part` in order, up to the first failure:
+    (results, (position in `part`, exception) of that failure or None)."""
     results = []
-    for i in range(k, len(tasks), w):
+    for j, task in enumerate(part):
         try:
-            results.append(fn(tasks[i]))
+            results.append(fn(task))
         except BaseException as err:
-            return results, (i, err)
+            return results, (j, err)
     return results, None
 
 
 def _fork_map(fn, tasks, workers: int) -> list:
-    """[fn(t) for t in tasks] over `workers` strides of the task list, at
-    most one stride per task and one per CPU (`os.cpu_count()`).
+    """[fn(t) for t in tasks] over `workers` strides of the task list (`_fork_strides`)."""
+    return _fork_strides(functools.partial(_run_stride, fn), tasks, workers)
 
-    The caller evaluates tasks[0::w]; each further stride k runs in a child
-    made by `os.fork` that pickles its results to a pipe and exits. Every
-    child is read and reaped, also when a stride fails; then the exception
-    of the lowest failing task is raised, as a serial loop would raise it
-    (an interrupt or exit in any stride takes precedence).
+
+def _fork_strides(run, tasks, workers: int) -> list:
+    """The results of every task, where `run(tasks[k::w])` evaluates stride k
+    and returns (results, failure): the results of the stride's tasks in
+    order (of its first ones, when one fails) and None, or the (position in
+    the stride, exception) of its failure, as `_run_stride` does. There are
+    `workers` strides, at most one per task and one per CPU (`os.cpu_count()`).
+
+    The caller runs stride 0; each further stride k runs in a child made by
+    `os.fork` that pickles its results to a pipe and exits. Every child is
+    read and reaped, also when a stride fails; then the exception of the
+    lowest failing task is raised, as a serial loop would raise it (an
+    interrupt or exit in any stride takes precedence).
     """
     w = min(workers, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     children, payloads = [], {}
@@ -230,13 +254,13 @@ def _fork_map(fn, tasks, workers: int) -> list:
             if pid == 0:
                 try:
                     os.close(read)
-                    out = _run_stride(fn, tasks, k, w)
+                    out = run(tasks[k::w])
                     try:
                         data = pickle.dumps(out)
                         pickle.loads(data)
                     except Exception:           # an exception that does not survive pickling
-                        i, err = out[1]
-                        data = pickle.dumps((out[0], (i, RuntimeError(
+                        j, err = out[1]
+                        data = pickle.dumps((out[0], (j, RuntimeError(
                             f"{type(err).__name__}: {err}"))))
                     with os.fdopen(write, "wb") as fh:
                         fh.write(data)
@@ -244,7 +268,7 @@ def _fork_map(fn, tasks, workers: int) -> list:
                     os._exit(0)
             os.close(write)
             children.append((k, pid, read))
-        strides = [_run_stride(fn, tasks, 0, w)]
+        strides = [run(tasks[0::w])]
     finally:
         for k, pid, read in children:
             with os.fdopen(read, "rb") as fh:
@@ -254,45 +278,110 @@ def _fork_map(fn, tasks, workers: int) -> list:
         try:
             strides.append(pickle.loads(payloads[k]))
         except Exception:                       # the child ended before it sent a result
-            strides.append(([], (k, RuntimeError(f"the worker of node stride {k} "
+            strides.append(([], (0, RuntimeError(f"the worker of node stride {k} "
                                                  "ended without a result"))))
     results = [None] * len(tasks)
-    for k, (done, _) in enumerate(strides):
+    failures = []
+    for k, (done, failure) in enumerate(strides):
         results[k:k + w * len(done):w] = done
-    failures = [failure for _, failure in strides if failure is not None]
+        if failure is not None:
+            failures.append((k + w * failure[0], failure[1]))
     if failures:
         # an interrupt or exit first, else the lowest failing task
         raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
     return results
 
 
+def _stacks(nodes, budget: int) -> list:
+    """`nodes`, (position, accepted count, …) tuples, split into stacks: in
+    order of accepted count (then position), each stack takes nodes while
+    its nodes × its largest count stays within `budget` lanes. A node whose
+    count alone exceeds the budget is a stack of one."""
+    stacks = []
+    for node in sorted(nodes, key=lambda node: (node[1], node[0])):
+        if stacks and (len(stacks[-1]) + 1) * node[1] <= budget:
+            stacks[-1].append(node)
+        else:
+            stacks.append([node])
+    return stacks
+
+
 def _assemble(rows, fs: FinslerStructure, spec: QuadratureSpec, order: int,
               structure_hash: str = "") -> list:
     """The one node loop: per-node fiber Monte Carlo + deterministic reduction.
 
-    Per node: draw the fibers, build one `DomainGeometry` of jet order
-    `order` on the accepted samples, call `rows(geom)` for the node's k
-    integrands α (a scalar stands for its value at every sample), weigh each
-    by det g and reduce it on its own into one of the k returned estimates.
+    Each stride (`_fork_strides`) draws the fibers of its nodes in index
+    order (`_fiber_samples`, once per node), orders the nodes by accepted
+    count and stacks them (`_stacks`, at most `STACK_FIBERS` lanes a stack).
+    A stack of G nodes is one `DomainGeometry` of jet order `order`, x of
+    shape (n, G) and y of shape (n, G, K) for the largest accepted count K,
+    a node's short row padded with its first accepted fiber. `rows(geom)`
+    gives the stack's k integrands α (a scalar stands for its value at every
+    sample); each is weighed by det g, and every node's own unpadded slice is
+    reduced on its own into its part of one of the k returned estimates, in
+    node order. `geom.nodes` holds each node's x, of shape (n,), and its
+    accepted fibers, for integrands evaluated node by node.
+
+    Every jet kernel is elementwise over the batch, so every estimate is
+    bitwise that of a geometry per node, for any stack and worker count. A
+    stack that raises is evaluated again node by node, as stacks of one in
+    index order, so the exception is that of its lowest failing node.
     """
     xs, ws = _x_rule(fs, spec.x_resolution)
     vol_bn = unit_ball_volume(fs.dim)
 
-    def one_node(args):
-        node_index, x = args
-        y, inside, radius = _fiber_samples(fs, x, spec, node_index)
-        geom = DomainGeometry(fs, x, y[:, inside], order)
+    def evaluate(stack):
+        lanes = max(count for _, count, *_ in stack)
+        Y = np.empty((fs.dim, len(stack), lanes))
+        for g, (_, count, _, y, _, _) in enumerate(stack):
+            Y[:, g] = y[:, :1]
+            Y[:, g, :count] = y
+        geom = DomainGeometry(fs, np.stack([x for _, _, x, *_ in stack], axis=1), Y, order)
+        geom.nodes = [(x, y) for _, _, x, y, _, _ in stack]
         integrands = rows(geom)
-        det = _values(geom.detg)
+        det = np.broadcast_to(_values(geom.detg), Y.shape[1:])
         weighted = np.asarray([np.asarray(row) * det for row in integrands], dtype=np.float64)
-        vals = np.zeros((len(weighted), spec.y_samples))
-        vals[:, inside] = weighted
-        ball_vol = vol_bn * radius ** fs.dim
-        contrib = ball_vol * vals.mean(axis=1) / vol_bn
-        contrib_var = (ball_vol / vol_bn) ** 2 * vals.var(axis=1, ddof=1) / spec.y_samples
-        return contrib, contrib_var
+        out = []
+        for g, (_, count, _, _, inside, radius) in enumerate(stack):
+            vals = np.zeros((len(weighted), spec.y_samples))
+            vals[:, inside] = weighted[:, g, :count]
+            ball_vol = vol_bn * radius ** fs.dim
+            contrib = ball_vol * vals.mean(axis=1) / vol_bn
+            contrib_var = (ball_vol / vol_bn) ** 2 * vals.var(axis=1, ddof=1) / spec.y_samples
+            out.append((contrib, contrib_var))
+        return out
 
-    results = _fork_map(one_node, list(enumerate(xs)), spec.workers)
+    def run(part):
+        """One stride: (each node's (contrib, var), None), or ([], its failure)."""
+        drawn, failures = [], []
+        for j, (node_index, x) in enumerate(part):
+            try:
+                y, inside, radius = _fiber_samples(fs, x, spec, node_index)
+            except BaseException as err:
+                failures.append((j, err))
+                break
+            drawn.append((j, int(inside.sum()), x, y[:, inside], inside, radius))
+        results = {}
+        for stack in _stacks(drawn, STACK_FIBERS):
+            try:
+                results.update(zip([node[0] for node in stack], evaluate(stack)))
+                continue
+            except Exception as err:
+                failure = (0, err)
+            except BaseException as err:       # an interrupt or exit: no rerun
+                return [], (stack[0][0], err)
+            if len(stack) > 1:
+                # node by node in index order, up to the lowest failing node
+                stack = sorted(stack, key=lambda node: node[0])
+                done, failure = _run_stride(lambda node: evaluate([node])[0], stack)
+                results.update(zip([node[0] for node in stack], done))
+            if failure is not None:
+                failures.append((stack[failure[0]][0], failure[1]))
+        if failures:
+            return [], min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))
+        return [results[j] for j in range(len(drawn))], None
+
+    results = _fork_strides(run, list(enumerate(xs)), spec.workers)
     value = 0.0
     variance = 0.0
     for w, (contrib, contrib_var) in zip(ws, results):

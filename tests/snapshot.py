@@ -11,7 +11,11 @@ snapshot maps a name to a list of float-hex strings:
 - `pointwise-cli/...`: every operation of the `pointwise-cli` benchmark
   pool, all four kinds at all of its points;
 - `variation-randers/...`, `hessian-sphere/...`: the benchmark checks at
-  quadrature seeds 0, 5 and 11;
+  quadrature seeds 0, 5 and 11, at the benchmark's worker count and at 1
+  and 3 (`w1/`, `w3/`), so a diff covers stacks of several nodes at one and
+  at several strides;
+- `readme/bienergy/4096`: the README config's bienergy at 4,096 fibers a
+  node, each node a stack of one, whose large products run in blocks;
 - `pointwise/...`: τ, τ₂, JV, the Hessian integrand, Γ and the hh curvature
   on Randers, perturbed, Euclidean and n = 3 custom domains into the sphere
   and a custom codomain, batch-free and batched;
@@ -30,6 +34,7 @@ This file is not a test module: pytest does not collect it.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -67,7 +72,32 @@ def benchmark_outputs():
         family = wl.build()
         for seed in SEEDS:
             out[f"{name}/mc{seed}"] = _hex(wl.execute(family, {"mc_seed": seed})["values"])
+        # the same checks at 1 and 3 strides, whatever the CPU count
+        cpu_count, os.cpu_count = os.cpu_count, lambda: 8
+        try:
+            for workers in (1, 3):
+                wl.spec = dict(type(wl).spec, workers=workers)
+                for seed in SEEDS:
+                    out[f"{name}/w{workers}/mc{seed}"] = _hex(
+                        wl.execute(family, {"mc_seed": seed})["values"])
+        finally:
+            os.cpu_count = cpu_count
+            del wl.spec
     return out
+
+
+def readme_bienergy():
+    """The README config's bienergy at 4,096 fibers a node, where every node
+    is over the stack budget and is a stack of one."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    from finvar import quadrature
+    from finvar.config import RunConfig
+    import workloads
+
+    cfg = RunConfig.from_file(workloads.README_CONFIG)
+    spec = dataclasses.replace(cfg.quadrature_spec(), y_samples=4096)
+    est = quadrature.bienergy(cfg.smooth_map(), spec)
+    return {"readme/bienergy/4096": _hex([est.value, est.stderr])}
 
 
 def _domains():
@@ -244,7 +274,8 @@ def main():
     if not args.out:
         parser.error("give an output file or --diff")
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    snap = {**benchmark_outputs(), **pointwise_outputs(), **plain_outputs()}
+    snap = {**benchmark_outputs(), **readme_bienergy(), **pointwise_outputs(),
+            **plain_outputs()}
     if not args.no_tier1:
         snap.update(tier1_outputs())
     with open(args.out, "w") as fh:

@@ -260,6 +260,10 @@ NO_GEOMETRY = [
     ("check", {"perturbation": {"b": "x1*y1^2", "c_grid": [0.01, 0.01]}}, ["identity"],
      "perturbation.c_grid"),                                       # one distinct scale
     ("energy", {"quadrature": {"x_resolution": "2"}}, [], "quadrature.x_resolution"),
+    ("energy", {"quadrature": {"x_resolution": 1}}, [], "quadrature.x_resolution"),
+    ("energy", {"quadrature": {"y_samples": 1}}, [], "quadrature.y_samples"),
+    ("energy", {"quadrature": {"workers": 0}}, [], "quadrature.workers"),
+    ("energy", {"quadrature": {"seed": -1}}, [], "quadrature.seed"),
 ]
 
 
@@ -364,6 +368,17 @@ def test_numbers_that_describe_no_geometry_name_the_key(tmp_path, capsys, comman
     assert main([command, "--config", cfg, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} must ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, value, rule", [("x_resolution", 1, "be >= 2"),
+                                              ("y_samples", 1, "be >= 2"),
+                                              ("workers", 0, "be >= 1"),
+                                              ("seed", -1, "be in [0, 2^32)")])
+def test_a_quadrature_number_out_of_range_names_the_key_and_value(tmp_path, capsys, key,
+                                                                  value, rule):
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS, "quadrature": {key: value}})
+    assert main(["energy", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: quadrature.{key} must {rule}, got {value}\n"
 
 
 def test_an_integral_float_is_an_integer_key(tmp_path, capsys):

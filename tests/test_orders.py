@@ -209,16 +209,17 @@ def geometry_count(monkeypatch):
 
 
 def test_each_check_node_builds_one_geometry(geometry_count):
+    # the 4 nodes of 16 samples each fit in one stack of q.STACK_FIBERS lanes
     d = _inputs()
     spec = q.QuadratureSpec(x_resolution=2, y_samples=16, seed=3, workers=1)
     q.first_variation_check(d["family"], spec)
-    assert geometry_count == {"domain": 4, "identity": 0}
+    assert geometry_count == {"domain": 1, "identity": 0}
     q.divergence_theorem_check(d["fs"], [f"cos(x1*{TWO_PI!r})", f"sin(x2*{TWO_PI!r})"], spec,
                                f=f"sin(x1*{TWO_PI!r})*cos(x2*{TWO_PI!r})")
-    assert geometry_count == {"domain": 8, "identity": 0}
+    assert geometry_count == {"domain": 2, "identity": 0}
     q.second_variation_check(d["hessian_family"], spec)
-    # 4 nodes, and the 5 points of the biharmonic precondition
-    assert geometry_count == {"domain": 8 + 4 + 5, "identity": 0}
+    # one stack, and the 5 points of the biharmonic precondition
+    assert geometry_count == {"domain": 2 + 1 + 5, "identity": 0}
 
 
 def test_each_pointwise_command_builds_one_geometry_per_point(geometry_count, tmp_path):
