@@ -198,8 +198,9 @@ def integrate(fn, fs: FinslerStructure, spec: QuadratureSpec) -> FunctionalEstim
     """Normalized unit-ball-bundle integral of a scalar integrand.
 
     `fn` is either an expression (source or AST, variables x1.., y1..) or a
-    callable `(x, y_batch) -> values` called node by node on its accepted samples; a
-    scalar value stands for the same value at every sample.
+    callable `(x, y_batch) -> values`, called node by node on the node's
+    accepted samples; a scalar value stands for the same value at every
+    sample.
     """
     if not callable(fn):
         fn = functools.partial(fs.evaluate, ex.parse(fn, fs.xnames + fs.ynames))

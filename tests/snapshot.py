@@ -82,7 +82,7 @@ def benchmark_outputs():
                         wl.execute(family, {"mc_seed": seed})["values"])
         finally:
             os.cpu_count = cpu_count
-            del wl.spec
+            vars(wl).pop("spec", None)
     return out
 
 

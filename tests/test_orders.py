@@ -1,4 +1,4 @@
-"""Jet orders: `finsler.ORDER_TABLE` entries and one geometry per point or node.
+"""Jet orders: `finsler.ORDER_TABLE` entries and one geometry per point or node stack.
 
 Each table entry must be the least jet order at which its readers raise no
 `OrderLimitError`, on the inputs their callers pass: the README config, the
