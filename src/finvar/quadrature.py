@@ -228,11 +228,6 @@ def _run_stride(fn, part):
     return results, None
 
 
-def _fork_map(fn, tasks, workers: int) -> list:
-    """[fn(t) for t in tasks] over `workers` strides of the task list (`_fork_strides`)."""
-    return _fork_strides(functools.partial(_run_stride, fn), tasks, workers)
-
-
 def _fork_strides(run, tasks, workers: int) -> list:
     """The results of every task, where `run(tasks[k::w])` evaluates stride k
     and returns (results, failure): the results of the stride's tasks in

@@ -389,11 +389,15 @@ def test_strides_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tasks = list(range(9))
-    assert q._fork_map(lambda t: t * t, tasks, 10 ** 9) == [t * t for t in tasks]
+
+    def squares(part):
+        return [t * t for t in part], None
+
+    assert q._fork_strides(squares, tasks, 10 ** 9) == [t * t for t in tasks]
     assert len(forks) == 1
     # an unknown CPU count runs the nodes in the caller
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert q._fork_map(lambda t: t * t, tasks, 4) == [t * t for t in tasks]
+    assert q._fork_strides(squares, tasks, 4) == [t * t for t in tasks]
     assert len(forks) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     m = _sphere_family().base
