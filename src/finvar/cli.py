@@ -54,6 +54,13 @@ def _parse_point(text: str, dim: int):
     return np.array(vals[:dim]), np.array(vals[dim:])
 
 
+def _points(cfg: RunConfig, count: int) -> list:
+    """The first `count` sample points of `cfg`, each as its own (x, y) of
+    shape (n,), for the commands that report point by point."""
+    x, y = cfg.sample_points(count)
+    return list(zip(x.T, y[:, :, 0].T))
+
+
 def _finite(what: str, x, y, *values):
     """Raise DomainEvalError unless every entry of `values`, the numbers a
     report shows for the point (x, y), is finite."""
@@ -70,7 +77,7 @@ def cmd_geom(cfg: RunConfig, rep: Report, args):
     if args.point:
         x, y = _parse_point(args.point, cfg.dimension)
     else:
-        x, y = cfg.sample_points(1)[0]
+        x, y = _points(cfg, 1)[0]
     p = PointState(x, y)
     geom = DomainGeometry(fs, p.x, p.y, order_for("metric", "connection", "curvature"))
     md, cd, cv = fi._metric_data(geom), fi._connection_data(geom), fi._curvature_data(geom)
@@ -97,7 +104,7 @@ def cmd_tension(cfg: RunConfig, rep: Report, args, with_bitension: bool):
     if args.point:
         points = [_parse_point(args.point, cfg.dimension)]
     else:
-        points = cfg.sample_points(10)
+        points = _points(cfg, 10)
     order = ORDER_TABLE["bitension" if with_bitension else "tension"]
     tau_max = 0.0
     tau2_max = 0.0
@@ -134,77 +141,58 @@ def cmd_energy(cfg: RunConfig, rep: Report, args, functional):
 
 
 def _suite_invariants(cfg: RunConfig, rep: Report, args):
+    """The structural identities at 20 sample points, one stacked geometry
+    (`RunConfig.sample_points`): each row is the largest residual over the
+    stack, each point's residual scaled by that point's own scale."""
     fs = cfg.finsler()
     tol = cfg.tolerances["structural"]
     test_field = ex.parse("sin(x1)*y2^2/(y1^2 + y2^2) + cos(x2)*y1",
                           list(fs.xnames) + list(fs.ynames))
-    worst = {"euler": 0.0, "delta_f2": 0.0, "h_metricity": 0.0, "bracket": 0.0}
     n = fs.dim
-    # the map's domain is `fs` itself, so one geometry per point serves every row
+    # the map's domain is `fs` itself, so the one geometry serves every row
     map = cfg.smooth_map() if "map" in cfg.data else None
-    worst_tau = 0.0
-    for x, y in cfg.sample_points(20):
-        geom = DomainGeometry(fs, x, y, ORDER_TABLE["invariants"])
-        f2 = float(_values(geom.f2))
-        gyy = float(_values(jt.sum_terms(
-            [geom.g[i][j] * geom.env[fs.ynames[i]] * geom.env[fs.ynames[j]]
-             for i in range(n) for j in range(n)])))
-        worst["euler"] = max(worst["euler"], abs(gyy - f2) / abs(f2))
-        for i in range(n):
-            worst["delta_f2"] = max(worst["delta_f2"],
-                                    abs(float(_values(geom.delta(geom.f2, i)))) / abs(f2))
-        gscale = max(1.0, max(abs(float(_values(geom.g[i][j])))
-                              for i in range(n) for j in range(n)))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    resid = geom.delta(geom.g[i][j], k) \
-                        - jt.sum_terms([geom.gamma[l][k][i] * geom.g[l][j]
-                                        + geom.gamma[l][k][j] * geom.g[i][l]
-                                        for l in range(n)])
-                    worst["h_metricity"] = max(worst["h_metricity"],
-                                               abs(float(_values(resid))) / gscale)
-        fj = jt.eval_ast(test_field, geom.env)
-        for j in range(n):
-            for k in range(n):
-                lhs = geom.delta(geom.delta(fj, k), j) - geom.delta(geom.delta(fj, j), k)
-                rhs = jt.sum_terms([geom.Rjk[i][j][k] * fj.deriv(fs.ynames[i])
-                                    for i in range(n)])
-                scale = max(1.0, abs(float(_values(lhs))))
-                worst["bracket"] = max(worst["bracket"],
-                                       abs(float(_values(lhs)) - float(_values(rhs))) / scale)
-        if map is not None:
-            mg = MapGeometry(map, geom)
-            tau = _values(mg.tension)
-            gap = float(np.max(np.abs(tau - _values(mg.tension_divergence_form()))))
-            worst_tau = max(worst_tau, gap / max(1.0, float(np.max(np.abs(tau)))))
-    for name, value in worst.items():
-        rep.check(name, value, tol)
+    setup = cfg.perturbation() if "perturbation" in cfg.data else None
+    x, y = cfg.sample_points(20)
+    geom = DomainGeometry(fs, x, y, ORDER_TABLE["invariants"])
+    f2 = _values(geom.f2)
+    gyy = _values(jt.sum_terms([geom.g[i][j] * geom.env[fs.ynames[i]] * geom.env[fs.ynames[j]]
+                                for i in range(n) for j in range(n)]))
+    rep.check("euler", np.max(np.abs(gyy - f2) / np.abs(f2)), tol)
+    delta_f2 = _values([geom.delta(geom.f2, i) for i in range(n)])
+    rep.check("delta_f2", np.max(np.abs(delta_f2) / np.abs(f2)), tol)
+    gscale = np.maximum(1.0, np.max(np.abs(_values(geom.g)), axis=(0, 1)))
+    resid = _values([[[geom.delta(geom.g[i][j], k)
+                       - jt.sum_terms([geom.gamma[l][k][i] * geom.g[l][j]
+                                       + geom.gamma[l][k][j] * geom.g[i][l] for l in range(n)])
+                       for j in range(n)] for i in range(n)] for k in range(n)])
+    rep.check("h_metricity", np.max(np.abs(resid) / gscale), tol)
+    fj = jt.eval_ast(test_field, geom.env)
+    lhs = _values([[geom.delta(geom.delta(fj, k), j) - geom.delta(geom.delta(fj, j), k)
+                    for k in range(n)] for j in range(n)])
+    rhs = _values([[jt.sum_terms([geom.Rjk[i][j][k] * fj.deriv(fs.ynames[i]) for i in range(n)])
+                    for k in range(n)] for j in range(n)])
+    rep.check("bracket", np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))), tol)
     if map is not None:
-        rep.check("tension_vs_divergence_form", worst_tau, tol)
-    if "perturbation" in cfg.data:
-        setup = cfg.perturbation()
-        worst33 = worst_split = 0.0
-        for x, y in cfg.sample_points(20):
-            ig = IdentityGeometry(setup, x, y, ORDER_TABLE["invariants"])
-            worst33 = max(worst33, float(np.max(np.abs(ig.eq33_residual()))))
-            worst_split = max(worst_split,
-                              float(np.max(np.abs(ig.spray_split_residual()))))
-        rep.check("adapted_derivative_of_f2", worst33, tol)
-        rep.check("spray_split", worst_split, tol)
+        mg = MapGeometry(map, geom)
+        tau = _values(mg.tension)
+        gap = np.max(np.abs(tau - _values(mg.tension_divergence_form())), axis=0)
+        rep.check("tension_vs_divergence_form",
+                  np.max(gap / np.maximum(1.0, np.max(np.abs(tau), axis=0))), tol)
+    if setup is not None:
+        ig = IdentityGeometry(setup, x, y, ORDER_TABLE["invariants"])
+        rep.check("adapted_derivative_of_f2", np.max(np.abs(ig.eq33_residual())), tol)
+        rep.check("spray_split", np.max(np.abs(ig.spray_split_residual())), tol)
 
 
 def _suite_weitzenbock(cfg: RunConfig, rep: Report, args):
+    """The Weitzenböck residual at 20 sample points, one stacked geometry,
+    against tol × the largest of 1 and |τ|² over the stack."""
     map = cfg.smooth_map()
-    tol = cfg.tolerances["weitzenbock"]
-    worst = 0.0
-    scale = 1.0
-    for x, y in cfg.sample_points(20):
-        mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["weitzenbock"]))
-        resid = float(np.max(np.abs(np.asarray(mg.weitzenbock_residual()))))
-        scale = max(scale, abs(float(_values(mg.inner(mg.tension, mg.tension)))))
-        worst = max(worst, resid)
-    rep.check("weitzenbock_residual", worst, tol * scale,
+    x, y = cfg.sample_points(20)
+    mg = MapGeometry(map, DomainGeometry(map.fs, x, y, ORDER_TABLE["weitzenbock"]))
+    worst = np.max(np.abs(mg.weitzenbock_residual()))
+    scale = float(np.maximum(1.0, np.max(np.abs(_values(mg.inner(mg.tension, mg.tension))))))
+    rep.check("weitzenbock_residual", worst, cfg.tolerances["weitzenbock"] * scale,
               detail=f"scale={scale:.3e}")
 
 
@@ -256,34 +244,24 @@ def _suite_divergence(cfg: RunConfig, rep: Report, args):
 
 
 def _suite_identity(cfg: RunConfig, rep: Report, args):
+    """The §7 routes and residuals at 10 sample points, one stacked
+    `IdentityGeometry`: each row is the largest over the stack. Then the
+    scaling slopes (`linearized_scaling`)."""
     setup, c_grid = cfg.perturbation(), cfg.c_grid()
     tol = cfg.tolerances["identity_routes"]
-    worst = {"route_b_vs_conn": 0.0, "route_b_vs_general": 0.0,
-             "adapted_derivative_of_f2": 0.0, "tension_derivative": 0.0,
-             "spray_split": 0.0}
-    worst35 = worst_pred = 0.0
-    order = order_for("identity_tension", "identity_residuals", "condition35")
-    for x, y in cfg.sample_points(10):
-        ig = IdentityGeometry(setup, x, y, order)
-        itr = ig.tension_report()
-        worst["route_b_vs_conn"] = max(worst["route_b_vs_conn"], itr.discrepancy_b_conn)
-        worst["route_b_vs_general"] = max(worst["route_b_vs_general"],
-                                          itr.discrepancy_b_general)
-        worst["adapted_derivative_of_f2"] = max(
-            worst["adapted_derivative_of_f2"], float(np.max(np.abs(ig.eq33_residual()))))
-        worst["tension_derivative"] = max(
-            worst["tension_derivative"], float(np.max(np.abs(ig.eq34_residual()))))
-        worst["spray_split"] = max(worst["spray_split"],
-                                   float(np.max(np.abs(ig.spray_split_residual()))))
-        if setup.a_asts is not None:
-            residual, tau_pred = ig.condition35_residual()
-            worst35 = max(worst35, float(np.max(np.abs(residual))))
-            worst_pred = max(worst_pred, float(np.max(np.abs(itr.tau_route_b - tau_pred))))
-    for name, value in worst.items():
-        rep.check(name, value, tol)
+    x, y = cfg.sample_points(10)
+    ig = IdentityGeometry(setup, x, y, order_for("identity_tension", "identity_residuals",
+                                                 "condition35"))
+    itr = ig.tension_report()
+    rep.check("route_b_vs_conn", itr.discrepancy_b_conn, tol)
+    rep.check("route_b_vs_general", itr.discrepancy_b_general, tol)
+    rep.check("adapted_derivative_of_f2", np.max(np.abs(ig.eq33_residual())), tol)
+    rep.check("tension_derivative", np.max(np.abs(ig.eq34_residual())), tol)
+    rep.check("spray_split", np.max(np.abs(ig.spray_split_residual())), tol)
     if setup.a_asts is not None:
-        rep.check("proportionality_residual", worst35, tol)
-        rep.check("predicted_tension_gap", worst_pred, tol)
+        residual, tau_pred = ig.condition35_residual()
+        rep.check("proportionality_residual", np.max(np.abs(residual)), tol)
+        rep.check("predicted_tension_gap", np.max(np.abs(itr.tau_route_b - tau_pred)), tol)
     sc = linearized_scaling(setup, c_grid=c_grid)
     lo, hi = cfg.tolerances["slope_tau_low"], cfg.tolerances["slope_tau_high"]
     ok = lo <= sc.slope_tau <= hi
@@ -300,7 +278,7 @@ def cmd_identity_analysis(cfg: RunConfig, rep: Report, args):
     if args.point:
         x, y = _parse_point(args.point, cfg.dimension)
     else:
-        x, y = cfg.sample_points(1)[0]
+        x, y = _points(cfg, 1)[0]
     itr = identity_tension(setup, PointState(x, y))
     rep.add("tau_via_b_field", INFO, detail=_fmt(itr.tau_route_b))
     rep.add("tau_via_connection_difference", INFO, detail=_fmt(itr.tau_route_conn))

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .finsler import BoxChart, FinslerStructure, TorusChart
+from .finsler import BoxChart, FinslerStructure, TorusChart, sample_stack
 from .identity import DEFAULT_C_GRID, PerturbationSetup
 from .maps import SmoothMap, VariationFamily
 from .quadrature import QuadratureSpec
@@ -303,15 +303,8 @@ class RunConfig:
         return QuadratureSpec(**block)
 
     def sample_points(self, count: int = 10):
-        """Deterministic (x, y) samples inside the chart, ‖y‖ of order 1."""
-        rng = np.random.default_rng(2024)
-        box = self.finsler().chart.sample_box()
-        pts = []
-        for _ in range(count):
-            x = np.array([rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-                          for lo, hi in box])
-            y = rng.normal(size=self.dimension)
-            y /= np.linalg.norm(y)
-            y *= rng.uniform(0.7, 1.5)
-            pts.append((x, y))
-        return pts
+        """`count` deterministic (x, y) samples inside the chart, ‖y‖ of order
+        1, as one stack (`finsler.sample_stack`): x of shape (n, count) and y
+        of shape (n, count, 1). Point g is (x[:, g], y[:, g, 0])."""
+        return sample_stack(self.finsler().chart.sample_box(), count,
+                            np.random.default_rng(2024), margin=0.05)

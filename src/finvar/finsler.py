@@ -112,6 +112,25 @@ def _default_chart(n):
     return BoxChart(tuple((-1.0, 1.0) for _ in range(n)))
 
 
+def sample_stack(box, count: int, rng, margin: float = 0.0, radii=(0.7, 1.5)):
+    """`count` points drawn by `rng`, one after the other: x uniform in `box`
+    with `margin` of each side's width cut off at both ends, and y a uniform
+    direction of length uniform in `radii` (1 when None). Returned as one
+    stack of nodes with one fiber each (`DomainGeometry`): x of shape
+    (n, count) and y of shape (n, count, 1)."""
+    n = len(box)
+    x, y = np.empty((n, count)), np.empty((n, count, 1))
+    for g in range(count):
+        x[:, g] = [rng.uniform(lo + margin * (hi - lo), hi - margin * (hi - lo))
+                   for lo, hi in box]
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        if radii is not None:
+            u *= rng.uniform(*radii)
+        y[:, g, 0] = u
+    return x, y
+
+
 # --- the structure --------------------------------------------------------------
 
 @dataclass(frozen=True)

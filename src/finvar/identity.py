@@ -32,7 +32,7 @@ from . import expressions as ex
 from . import jets as jt
 from .errors import ConfigError, DomainEvalError
 from .finsler import (ORDER_TABLE, DomainGeometry, FinslerStructure, PointState, _values,
-                      adapted_derivative)
+                      adapted_derivative, sample_stack)
 from .maps import MapGeometry, SmoothMap
 from .riemann import RiemannStructure
 
@@ -80,14 +80,19 @@ class PerturbationSetup:
         return SmoothMap(comps, self.finsler, self.base_structure)
 
     def a_values(self, x) -> np.ndarray:
+        """a at x of shape (n,) or a stack x of shape (n, G): shape (n,) or
+        (n, G), a constant entry broadcast to x's batch."""
         if self.a_asts is None:
             raise ConfigError("condition-(35) check requires the covector field a")
         env = {f"x{i + 1}": x[i] for i in range(self.dim)}
-        return np.array([ex.evaluate(a, env) for a in self.a_asts], dtype=float)
+        return np.array([np.broadcast_to(ex.evaluate(a, env), np.shape(x[0]))
+                         for a in self.a_asts], dtype=float)
 
 
 class IdentityGeometry:
-    """Jets of the §7 objects at one point (x with optionally batched y)."""
+    """Jets of the §7 objects at one point (x with optionally batched y), or
+    at a stack of points as `DomainGeometry` takes it (x of shape (n, G), y of
+    shape (n, G, K)); every residual then carries the stack's batch."""
 
     def __init__(self, setup: PerturbationSetup, x, y, order: int):
         self.setup = setup
@@ -198,10 +203,13 @@ class IdentityGeometry:
         return out
 
     def condition35_residual(self):
-        """residual_h = F²_{||h} − ⟨a, y⟩_g y_h and the predicted τ = −(n/2) a."""
+        """residual_h = F²_{||h} − ⟨a, y⟩_g y_h and the predicted τ = −(n/2) a,
+        with a shaped to the geometry's batch: each a_i a number at a point
+        and of shape (G, 1) on a stack of G points."""
         a = self.setup.a_values(self.geom.x)
+        a = a.reshape(a.shape + (1,) * (a.ndim - 1))
         n, ynames = self.n, self.fs.ynames
-        ay = jt.sum_terms([self.geom.g[i][j] * float(a[i]) * self.geom.env[ynames[j]]
+        ay = jt.sum_terms([self.geom.g[i][j] * a[i] * self.geom.env[ynames[j]]
                            for i in range(n) for j in range(n)])
         residual = np.array([np.asarray((self.f2_bar[h] - ay * self.y_low[h]).value)
                              for h in range(n)])
@@ -257,35 +265,23 @@ class ScalingReport:
 
 
 def linearized_scaling(setup: PerturbationSetup, c_grid=None, n_points: int = 8) -> ScalingReport:
-    """Sup-norms of the full nonlinear τ(id), τ₂(id) on a point sample for each
-    scale c, and least-squares slopes of log‖·‖ against log c. A grid of
-    fewer than two distinct scales has no slope and raises ConfigError."""
+    """Sup-norms of the full nonlinear τ(id), τ₂(id) on a stack of `n_points`
+    sample points, one geometry for each scale c, and least-squares slopes of
+    log‖·‖ against log c. A grid of fewer than two distinct scales has no
+    slope and raises ConfigError."""
     c_grid = np.asarray(DEFAULT_C_GRID if c_grid is None else c_grid, dtype=float)
     if np.unique(c_grid).size < 2:
         raise ConfigError(f"c_grid must hold at least two distinct scales to fit a slope "
                           f"through, got {c_grid.tolist()!r}")
-    rng = np.random.default_rng(77)
     subs = [setup.with_scale(c) for c in c_grid]
-    box = subs[0].finsler.chart.sample_box()
-    pts = []
-    for _ in range(n_points):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        y = rng.normal(size=setup.dim)
-        y /= np.linalg.norm(y)
-        y *= rng.uniform(0.7, 1.5)
-        pts.append((x, y))
+    x, y = sample_stack(subs[0].finsler.chart.sample_box(), n_points, np.random.default_rng(77))
     tau_sup = np.empty(len(c_grid))
     tau2_sup = np.empty(len(c_grid))
     for ci, sub in enumerate(subs):
-        idmap = sub.identity_map
-        t_max = 0.0
-        t2_max = 0.0
-        for x, y in pts:
-            mg = MapGeometry(idmap, DomainGeometry(idmap.fs, x, y, ORDER_TABLE["bitension"]))
-            t_max = max(t_max, float(np.max(np.abs(_values(mg.tension)))))
-            t2_max = max(t2_max, float(np.max(np.abs(_values(mg.bitension)))))
-        tau_sup[ci] = t_max
-        tau2_sup[ci] = t2_max
+        mg = MapGeometry(sub.identity_map, DomainGeometry(sub.finsler, x, y,
+                                                          ORDER_TABLE["bitension"]))
+        tau_sup[ci] = np.max(np.abs(_values(mg.tension)))
+        tau2_sup[ci] = np.max(np.abs(_values(mg.bitension)))
 
     def slope(vals, name):
         zero = np.flatnonzero(vals <= 0)

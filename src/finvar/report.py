@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+
+from .errors import DomainEvalError
 
 PASS, FAIL, INFO = "pass", "fail", "info"
 
@@ -35,7 +38,11 @@ class Report:
                                         detail))
 
     def check(self, name, value, bound, stderr=None, detail=""):
-        """Record value ≤ bound as pass/fail and return the outcome."""
+        """Record value ≤ bound as pass/fail and return the outcome. A value
+        or bound that is not finite raises DomainEvalError naming the row."""
+        if not (math.isfinite(value) and math.isfinite(bound)):
+            raise DomainEvalError(f"non-finite check {name}: value {float(value)!r}, "
+                                  f"bound {float(bound)!r}")
         ok = value <= bound
         self.add(name, PASS if ok else FAIL, value, bound, stderr, detail)
         return ok

@@ -24,6 +24,12 @@ snapshot maps a name to a list of float-hex strings:
   batch, `arc_length` and `integrate` of an expression on each domain, and
   the codomain's Christoffel symbols, curvature and sectional curvature at
   fixed points;
+- `cli/<config>/<command>`: the CSV report of `tension`, `bitension`,
+  `identity-analysis` and every `check` suite (no `--point`) on the README
+  config, the perturbed config with no `a`, a constant `a` and an
+  x-dependent `a`, an n = 3 custom domain, a biharmonic flat-torus family
+  and a map whose |τ|² overflows: the exit code, then each row's value,
+  bound and stderr and every number in its detail;
 - `tier1/<test id>/<call>`: the (value, stderr) pairs of every quadrature
   estimate the test suite makes (it runs the suite in-process, about a
   minute and a half on two cores; `--no-tier1` leaves it out).
@@ -34,11 +40,16 @@ This file is not a test module: pytest does not collect it.
 """
 
 import argparse
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 5, 11)
@@ -206,6 +217,101 @@ def plain_outputs():
     return out
 
 
+_PERTURBED_BASE = [["2 + sin(x1)*cos(x2)/2", "x1*x2/4"],
+                   ["x1*x2/4", "2 + exp(x1/3)/2 + x2^2/5"]]
+_PERTURBED_B = "(0.3*x1 + 0.1*x2^2)*y1^4/(y1^2 + y2^2) + 0.2*sin(x1)*y1^3*y2/(y1^2 + y2^2)"
+_PERTURBED = {
+    "dimension": 2,
+    "domain": {"type": "perturbed", "matrix": _PERTURBED_BASE, "b": _PERTURBED_B,
+               "scale": 0.05, "chart": {"type": "box", "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}},
+    "codomain": {"type": "custom", "matrix": _PERTURBED_BASE},
+    "map": {"components": ["x1/2 + x2^2/5", "x2/2 - x1^2/5"]},
+    "perturbation": {"b": f"0.05*({_PERTURBED_B})", "c_grid": [1e-2, 5e-3, 2.5e-3]},
+}
+_SMALL_SPEC = {"x_resolution": 3, "y_samples": 48, "seed": 5}
+
+
+def _cli_configs():
+    """Configs of the `cli/...` entries, each with the blocks its commands read."""
+    with open(os.path.join(ROOT, "benchmarks", "readme_config.json")) as fh:
+        readme = json.load(fh)
+    phi = readme["map"]["components"]
+    readme.update({
+        "variation": {"components": [f"{phi[0]} + eps1*sin(x1*{TWO_PI!r})",
+                                     f"{phi[1]} + eps1*0.7*cos(x2*{TWO_PI!r})"]},
+        "sections": {"X": [f"sin(x1*{TWO_PI!r})", "0.5*cos(x2)*x1"],
+                     "Y": ["0.4*cos(x2)", f"sin(x1*{TWO_PI!r})*x2"],
+                     "f": f"sin(x1*{TWO_PI!r})*cos(x2*{TWO_PI!r})"},
+        "quadrature": _SMALL_SPEC})
+
+    def perturbed(a):
+        cfg = json.loads(json.dumps(_PERTURBED))
+        if a is not None:
+            cfg["perturbation"]["a"] = a
+        return cfg
+
+    torus3 = {"type": "torus", "periods": [1.0, 1.0, 1.0]}
+    return {
+        "readme": readme,
+        "perturbed-no-a": perturbed(None),
+        "perturbed-const-a": perturbed(["0.1", "-0.05"]),
+        "perturbed-x-a": perturbed(["0.1*x1 + 0.02*x2^2", "-0.05*sin(x2)"]),
+        "custom-n3": {
+            "dimension": 3,
+            "domain": {"type": "custom", "chart": torus3,
+                       "f": "sqrt(y1^2 + y2^2 + y3^2)*(1 + 0.1*sin(x1)*cos(x2) + 0.05*x3)"
+                            " + 0.1*sin(x2)*y1 + 0.05*y3*cos(x1)"},
+            "codomain": {"type": "sphere", "dimension": 2, "radius": 1.3},
+            "map": {"components": [f"0.8 + 0.3*cos(x1*{TWO_PI!r}) + 0.1*sin(x3*{TWO_PI!r})",
+                                   f"0.2*sin(x1*{TWO_PI!r}) + 0.25*cos(x2*{TWO_PI!r})"]},
+            "sections": {"X": ["sin(x1)", "cos(x2)*x3", "0.3*x1"]},
+            "perturbation": {"b": "0.05*(x1 + 0.2*x3)*y1^4/(y1^2 + y2^2 + y3^2)",
+                             "a": ["0.1", "-0.05", "0.02*x3"]},
+            "quadrature": _SMALL_SPEC},
+        "hessian-sphere": {
+            "dimension": 2,
+            "domain": {"type": "euclidean", "chart": {"type": "torus", "periods": [1.0, 1.0]}},
+            "codomain": {"type": "sphere", "radius": 1.0},
+            "map": {"components": ["0.4", "-0.2"]},
+            "variation": {"components": [
+                f"0.4 + eps1*sin(x1*{TWO_PI!r}) + 0.3*eps2*cos(x2*{TWO_PI!r})",
+                f"-0.2 + eps2*sin(x2*{TWO_PI!r}) + 0.2*eps1*cos(x1*{TWO_PI!r})"]},
+            "quadrature": {"x_resolution": 3, "y_samples": 16, "seed": 3}},
+        "overflow": {
+            "dimension": 2,
+            "domain": {"type": "euclidean", "chart": {"type": "torus", "periods": [1.0, 1.0]}},
+            "codomain": {"type": "euclidean"},
+            "map": {"components": ["1e200*x1^4", "x2"]}},
+    }
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def cli_outputs():
+    """The CSV reports of the commands without `--point` on `_cli_configs`."""
+    from finvar import cli
+
+    commands = [["tension"], ["bitension"], ["identity-analysis"]] + [
+        ["check", suite] for suite in cli.SUITES]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for cname, config in _cli_configs().items():
+            path = os.path.join(tmp, f"{cname}.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            for command in commands:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([*command, "--config", path, "--format", "csv"])
+                values = [code]
+                for row in list(csv.DictReader(io.StringIO(stdout.getvalue()))):
+                    values += [row[k] for k in ("value", "bound", "stderr") if row[k]]
+                    values += _NUMBER.findall(row["detail"])
+                out[f"cli/{cname}/{' '.join(command)}"] = _hex(values)
+    return out
+
+
 class _Tier1Recorder:
     """A pytest plugin that records every `quadrature._assemble` result."""
 
@@ -275,7 +381,7 @@ def main():
         parser.error("give an output file or --diff")
     sys.path.insert(0, os.path.join(ROOT, "src"))
     snap = {**benchmark_outputs(), **readme_bienergy(), **pointwise_outputs(),
-            **plain_outputs()}
+            **plain_outputs(), **cli_outputs()}
     if not args.no_tier1:
         snap.update(tier1_outputs())
     with open(args.out, "w") as fh:

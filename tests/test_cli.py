@@ -426,6 +426,17 @@ def test_a_non_finite_reported_number_is_exit_3_with_one_line(tmp_path, capsys, 
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_a_non_finite_check_row_is_exit_3_with_one_line(tmp_path, capsys):
+    # |τ|² overflows: the Weitzenböck residual is NaN at every point, its bound tol × inf
+    cfg = _write(tmp_path, "cfg.json", {**EUCLID_TORUS,
+                                        "map": {"components": ["1e200*x1^4", "x2"]}})
+    assert main(["check", "weitzenbock", "--config", cfg, "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: non-finite check weitzenbock_residual: "
+                            "value nan, bound inf\n")
+    assert captured.out == ""
+
+
 def test_an_overflowed_f2_is_exit_3_with_one_line(tmp_path, capsys):
     # F² = g_ij y^i y^j = inf: the Euler check reads inf - inf = NaN as a failure
     cfg = _write(tmp_path, "cfg.json", EUCLID_TORUS)

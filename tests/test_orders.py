@@ -1,4 +1,4 @@
-"""Jet orders: `finsler.ORDER_TABLE` entries and one geometry per point or node stack.
+"""Jet orders: `finsler.ORDER_TABLE` entries and one geometry per point, sample set or node stack.
 
 Each table entry must be the least jet order at which its readers raise no
 `OrderLimitError`, on the inputs their callers pass: the README config, the
@@ -218,22 +218,23 @@ def test_each_check_node_builds_one_geometry(geometry_count):
                                f=f"sin(x1*{TWO_PI!r})*cos(x2*{TWO_PI!r})")
     assert geometry_count == {"domain": 2, "identity": 0}
     q.second_variation_check(d["hessian_family"], spec)
-    # one stack, and the 5 points of the biharmonic precondition
-    assert geometry_count == {"domain": 2 + 1 + 5, "identity": 0}
+    # one stack, and the 5 points of the biharmonic precondition as one stack
+    assert geometry_count == {"domain": 2 + 1 + 1, "identity": 0}
 
 
-def test_each_pointwise_command_builds_one_geometry_per_point(geometry_count, tmp_path):
+def test_each_pointwise_command_builds_one_geometry_per_sample_set(geometry_count, tmp_path):
     _cli(tmp_path, README_CONFIG, "geom", "--point", "0.2,0.7,1.0,-0.3")
     assert geometry_count == {"domain": 1, "identity": 0}
     geometry_count["domain"] = 0
     rep = _cli(tmp_path, PERTURBED_CONFIG, "check", "identity")
     assert "proportionality_residual" in [r.name for r in rep.records]
-    # 10 sample points, and 8 points per scale of the scaling fit (2 scales)
-    assert geometry_count == {"domain": 10 + 2 * 8, "identity": 10}
+    # the 10 sample points as one stack, and one stack of 8 points per scale
+    # of the scaling fit (2 scales)
+    assert geometry_count == {"domain": 1 + 2, "identity": 1}
 
 
-def test_check_invariants_builds_one_geometry_per_point(geometry_count, tmp_path):
+def test_check_invariants_builds_one_geometry(geometry_count, tmp_path):
     rep = _cli(tmp_path, README_CONFIG, "check", "invariants")
     assert "tension_vs_divergence_form" in [r.name for r in rep.records]
-    # 20 sample points, each geometry shared by the domain rows and the map's row
-    assert geometry_count == {"domain": 20, "identity": 0}
+    # the 20 sample points as one stack, shared by the domain rows and the map's row
+    assert geometry_count == {"domain": 1, "identity": 0}
