@@ -25,6 +25,10 @@ ignored.  The full schema (all keys optional unless stated):
       "quadrature": {"x_resolution": int, "y_samples": int, "seed": int, "workers": int},
       "tolerances": {<name>: float, ..}
     }
+
+`RunConfig.from_file` returns one `RunConfig` per config content in a
+process, and that config builds each of its structures once: in-process CLI
+calls on one file reuse its validated domain, codomain and map.
 """
 
 from __future__ import annotations
@@ -51,6 +55,20 @@ _MAP_KEYS = {"components"}
 _SECTION_KEYS = {"X", "Y", "f"}
 _PERTURBATION_KEYS = {"b", "a", "c_grid"}
 _QUAD_KEYS = {"x_resolution", "y_samples", "seed", "workers"}
+
+#: The largest `dimension` and `codomain.dimension`. At order 6 (τ₂, the
+#: Weitzenböck residual and the Hessian integrand) the (x, y) jet space of a
+#: domain of dimension n has C(2n + 6, 6) rows and C(4n + 6, 6) Leibniz
+#: triples, built from the 7^(2n) exponent tuples of `jets.JetSpace`: 3,003
+#: rows and 74,613 triples (about a second) at n = 4, 8,008 and 230,230 (about
+#: 40 s) at n = 5. The codomain pulled back through a map holds m^4 jets of R̃
+#: and m^5 of ∇R̃ at dimension m, 1,024 of them at m = 4.
+MAX_DIMENSION = 4
+#: How many configs `RunConfig.from_file` keeps, least recently read first out.
+SHARED_CONFIGS = 8
+#: The configs kept, by `canonical_text`, least recently read first.
+_SHARED: dict = {}
+_INT_MAX = int(np.iinfo(np.intp).max)
 
 DEFAULT_TOLERANCES = {
     "harmonic": 1e-8,
@@ -82,7 +100,8 @@ def _require_keys(block: dict, allowed: set, where: str):
 def _number(value, kind, where: str):
     """`value` as a `kind`, or a ConfigError naming the key `where`: a string,
     a bool, a non-finite number (JSON's `NaN` and `Infinity` included) and,
-    for an int, a fractional one are refused rather than converted."""
+    for an int, a fractional one or one that no array index holds are
+    refused rather than converted."""
     number = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -95,7 +114,20 @@ def _number(value, kind, where: str):
     if number is None or kind is float and not math.isfinite(number):
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    if kind is int and abs(number) > _INT_MAX:
+        raise ConfigError(f"{where} must be an integer of magnitude at most {_INT_MAX}, "
+                          f"got {value!r}")
     return number
+
+
+def _dimension(value, where: str) -> int:
+    """A dimension in [1, MAX_DIMENSION], or a ConfigError naming the key `where`."""
+    dim = _number(value, int, where)
+    if dim < 1:
+        raise ConfigError(f"{where} must be >= 1, got {dim}")
+    if dim > MAX_DIMENSION:
+        raise ConfigError(f"{where} must be <= {MAX_DIMENSION}, got {dim}")
+    return dim
 
 
 def _numbers(values, kind, where: str, length=None) -> tuple:
@@ -123,16 +155,25 @@ def _shaped(value, shape: tuple, where: str):
     return value
 
 
+def canonical_text(data) -> str:
+    """The canonical JSON text of parsed config data: keys sorted, no spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 class RunConfig:
-    """Validated run configuration with lazy structure builders."""
+    """Validated run configuration with lazy structure builders.
+
+    Each structure (`finsler`, `riemann`, `smooth_map`, `family`,
+    `perturbation`) is built on its first read and kept; a build that raises
+    keeps nothing, so the next read raises the same error. Nothing writes to
+    a config or to its structures after that, so one config can serve every
+    call in a process (`from_file`)."""
 
     def __init__(self, data: dict):
         _require_keys(data, _TOP_KEYS, "top level")
         if "dimension" not in data:
             raise ConfigError("top level: missing required key 'dimension'")
-        self.dimension = _number(data["dimension"], int, "dimension")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
+        self.dimension = _dimension(data["dimension"], "dimension")
         self.data = data
         for block, keys in (("domain", _DOMAIN_KEYS), ("codomain", _CODOMAIN_KEYS),
                             ("map", _MAP_KEYS), ("variation", _MAP_KEYS),
@@ -158,17 +199,33 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """The config in the file at `path`. The process keeps the last
+        `SHARED_CONFIGS` configs it read, keyed by `canonical_text`, so a
+        file read again, or another with the same content up to key order
+        and whitespace, returns the config already built; a new one is
+        built from this file's data, and kept only if it validates."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
+            key = canonical_text(data)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}")
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}")
-        return cls(data)
+        except (ValueError, RecursionError) as err:   # an integer of > 4,300 digits, deep nesting
+            raise ConfigError(f"config JSON cannot be read: {err}")
+        cfg = _SHARED.pop(key, None) or cls(data)
+        _SHARED[key] = cfg                  # the most recently read is last
+        if len(_SHARED) > SHARED_CONFIGS:
+            del _SHARED[next(iter(_SHARED))]
+        return cfg
 
     def canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
+        return canonical_text(self.data)
 
     # --- builders -----------------------------------------------------------------
 
@@ -227,12 +284,19 @@ class RunConfig:
             return FinslerStructure.custom(block["f"], n, chart=chart)
         raise ConfigError(f"domain.type {kind!r} is not recognized")
 
+    def _codomain_dimension(self) -> int:
+        return _dimension(self.data.get("codomain", {}).get("dimension", self.dimension),
+                          "codomain.dimension")
+
     def riemann(self) -> RiemannStructure:
+        """The codomain structure, built when first read."""
+        return self._riemann
+
+    @cached_property
+    def _riemann(self) -> RiemannStructure:
         block = self.data.get("codomain", {"type": "euclidean"})
         kind = block.get("type", "euclidean")
-        dim = _number(block.get("dimension", self.dimension), int, "codomain.dimension")
-        if dim < 1:
-            raise ConfigError(f"codomain.dimension must be >= 1, got {dim}")
+        dim = self._codomain_dimension()
         if kind == "euclidean":
             return RiemannStructure.euclidean(dim)
         if kind == "sphere":
@@ -251,17 +315,29 @@ class RunConfig:
         raise ConfigError(f"codomain.type {kind!r} is not recognized")
 
     def _components(self, key: str):
-        """(<key>.components, domain, codomain), one expression per codomain dimension."""
+        """(<key>.components, domain, codomain), one expression per codomain
+        dimension; the count is checked before either structure is built."""
         block = self.data.get(key)
         if block is None or "components" not in block:
             raise ConfigError(f"this command requires a '{key}' block with 'components'")
-        fs, rs = self.finsler(), self.riemann()
-        return _shaped(block["components"], (rs.dim,), f"{key}.components"), fs, rs
+        components = _shaped(block["components"], (self._codomain_dimension(),),
+                             f"{key}.components")
+        return components, self.finsler(), self.riemann()
 
     def smooth_map(self) -> SmoothMap:
+        """The map block's map, built when first read."""
+        return self._smooth_map
+
+    @cached_property
+    def _smooth_map(self) -> SmoothMap:
         return SmoothMap(*self._components("map"))
 
     def family(self) -> VariationFamily:
+        """The variation block's family, built when first read."""
+        return self._family
+
+    @cached_property
+    def _family(self) -> VariationFamily:
         return VariationFamily(*self._components("variation"))
 
     def section(self, key: str, length: int) -> list:
@@ -272,6 +348,11 @@ class RunConfig:
         return _shaped(block[key], (length,), f"sections.{key}")
 
     def perturbation(self) -> PerturbationSetup:
+        """The perturbation block's setup, built when first read."""
+        return self._perturbation
+
+    @cached_property
+    def _perturbation(self) -> PerturbationSetup:
         block = self.data.get("perturbation")
         domain = self.data.get("domain", {})
         if block is None or "b" not in block:
@@ -296,8 +377,10 @@ class RunConfig:
         return grid
 
     def quadrature_spec(self, seed_override=None) -> QuadratureSpec:
+        # keys in sorted order: a shared config names the same bad key
+        # whichever key order the file that built it had
         block = {k: _number(v, int, f"quadrature.{k}")
-                 for k, v in self.data.get("quadrature", {}).items()}
+                 for k, v in sorted(self.data.get("quadrature", {}).items())}
         if seed_override is not None:
             block["seed"] = _number(seed_override, int, "seed")
         return QuadratureSpec(**block)

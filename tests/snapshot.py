@@ -30,6 +30,10 @@ snapshot maps a name to a list of float-hex strings:
   x-dependent `a`, an n = 3 custom domain, a biharmonic flat-torus family
   and a map whose |τ|² overflows: the exit code, then each row's value,
   bound and stderr and every number in its detail;
+- `cli/repeat/<command>/<call>`: the same for `geom`, `tension` and
+  `bitension` at two points on the README config and for
+  `identity-analysis` on the perturbed config, each called twice in one
+  process, so a diff covers calls that reuse a config;
 - `tier1/<test id>/<call>`: the (value, stderr) pairs of every quadrature
   estimate the test suite makes (it runs the suite in-process, about a
   minute and a half on two cores; `--no-tier1` leaves it out).
@@ -288,12 +292,33 @@ def _cli_configs():
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
+def _csv_report(argv):
+    """The exit code of the CLI call `argv` (CSV format), then each row's
+    value, bound and stderr and every number in its detail."""
+    from finvar import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--format", "csv"])
+    values = [code]
+    for row in list(csv.DictReader(io.StringIO(stdout.getvalue()))):
+        values += [row[k] for k in ("value", "bound", "stderr") if row[k]]
+        values += _NUMBER.findall(row["detail"])
+    return _hex(values)
+
+
 def cli_outputs():
-    """The CSV reports of the commands without `--point` on `_cli_configs`."""
+    """The CSV reports of the commands without `--point` on `_cli_configs`,
+    and of repeated calls in one process: `geom`, `tension` and `bitension`
+    at two points on the README config and `identity-analysis` on the
+    perturbed config, each run twice (`cli/repeat/<command>/<call>`)."""
     from finvar import cli
 
     commands = [["tension"], ["bitension"], ["identity-analysis"]] + [
         ["check", suite] for suite in cli.SUITES]
+    points = ("0.2,0.7,1.0,-0.3", "0.61,0.05,-0.4,0.9")
+    repeats = [("readme", [command, "--point", p]) for command in ("geom", "tension", "bitension")
+               for p in points] + [("perturbed-x-a", ["identity-analysis"])]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for cname, config in _cli_configs().items():
@@ -301,14 +326,11 @@ def cli_outputs():
             with open(path, "w") as fh:
                 json.dump(config, fh)
             for command in commands:
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = cli.main([*command, "--config", path, "--format", "csv"])
-                values = [code]
-                for row in list(csv.DictReader(io.StringIO(stdout.getvalue()))):
-                    values += [row[k] for k in ("value", "bound", "stderr") if row[k]]
-                    values += _NUMBER.findall(row["detail"])
-                out[f"cli/{cname}/{' '.join(command)}"] = _hex(values)
+                out[f"cli/{cname}/{' '.join(command)}"] = _csv_report([*command, "--config", path])
+        for call in (1, 2):
+            for cname, argv in repeats:
+                path = os.path.join(tmp, f"{cname}.json")
+                out[f"cli/repeat/{' '.join(argv)}/{call}"] = _csv_report([*argv, "--config", path])
     return out
 
 

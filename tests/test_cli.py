@@ -1,16 +1,23 @@
 """Command-line interface: exit codes, report formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+from datetime import timedelta
 from functools import cached_property
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from finvar import cli
+from finvar import cli, config
 from finvar import jets as jt
 from finvar.cli import main
-from finvar.finsler import DomainGeometry
+from finvar.config import RunConfig
+from finvar.finsler import DomainGeometry, FinslerStructure
 from finvar.report import Report
+from finvar.riemann import RiemannStructure
 
 TWO_PI = 2 * math.pi
 NAN, INF = float("nan"), float("inf")     # written to the config as JSON NaN, Infinity
@@ -507,3 +514,258 @@ def test_a_metric_with_a_tiny_eigenvalue_is_still_singular(tmp_path, capsys):
     assert main(["tension", "--config", cfg, "--point", "0.2,0.3,1.0,0.5"]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: metric is singular or indefinite")
+
+
+# --- sizes the engine cannot hold ---------------------------------------------------
+
+README_CONFIG = {**RANDERS, "codomain": {"type": "sphere", "radius": 1.0}, "map": README_MAP,
+                 "quadrature": {"x_resolution": 2, "y_samples": 16, "seed": 5}}
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("tension", {"codomain": {"type": "sphere", "radius": 1.0, "dimension": 10000}},
+     f"codomain.dimension must be <= {config.MAX_DIMENSION}, got 10000"),
+    ("tension", {"dimension": 10000}, f"dimension must be <= {config.MAX_DIMENSION}, got 10000"),
+    ("tension", {"dimension": 2 ** 70},
+     f"dimension must be an integer of magnitude at most {2 ** 63 - 1}, got {2 ** 70}"),
+    ("tension", {"codomain": {"type": "sphere", "dimension": 2 ** 70}},
+     f"codomain.dimension must be an integer of magnitude at most {2 ** 63 - 1}, got {2 ** 70}"),
+    ("energy", {"quadrature": {"x_resolution": 2, "y_samples": 2 ** 70}},
+     f"quadrature.y_samples must be an integer of magnitude at most {2 ** 63 - 1}, "
+     f"got {2 ** 70}"),
+    ("energy", {"quadrature": {"x_resolution": -2 ** 70, "y_samples": 16}},
+     f"quadrature.x_resolution must be an integer of magnitude at most {2 ** 63 - 1}, "
+     f"got {-2 ** 70}"),
+])
+def test_a_size_the_engine_cannot_hold_is_exit_2_with_one_line(tmp_path, capsys, command,
+                                                                change, message):
+    cfg = _write(tmp_path, "cfg.json", {**README_CONFIG, **change})
+    extra = [] if command == "energy" else ["--point", "0.1,0.2,1,0"]
+    assert main([command, "--config", cfg, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+
+def test_the_dimension_bound_admits_three_dimensions(tmp_path, capsys):
+    assert config.MAX_DIMENSION >= 3
+    n3 = {"dimension": 3, "codomain": {"type": "sphere", "dimension": 3},
+          "map": {"components": ["0.3*sin(x1)", "0.2*cos(x2)", "0.1*x3"]}}
+    cfg = _write(tmp_path, "cfg.json", n3)
+    assert main(["bitension", "--config", cfg, "--point", "0.1,0.2,0.3,1,0,0.5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_map_is_checked_against_the_codomain_dimension_before_any_build(tmp_path, capsys,
+                                                                          monkeypatch):
+    built = []
+    for cls in (FinslerStructure, RiemannStructure):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, **k: built.append(self))
+    cfg = _write(tmp_path, "cfg.json", {**README_CONFIG,
+                                        "codomain": {"type": "sphere", "dimension": 4}})
+    assert main(["tension", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: map.components must be a list "
+                                              "of 4 entries")
+    assert built == []
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000 + "]" * 100000],
+                         ids=["a_5000_digit_integer", "deep_nesting"])
+def test_json_python_cannot_read_is_exit_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["geom", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config JSON cannot be read: ") and err.count("\n") == 1
+
+
+# --- one build per config content ---------------------------------------------------
+
+POINT = "0.2,0.3,1.0,0.5"
+
+
+def _call(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A process that has read no config yet, counting domain validations,
+    codomain structures and derivations of codomain metric ASTs."""
+    from finvar import expressions as ex
+
+    monkeypatch.setattr(config, "_SHARED", {})
+    counts = {"validate": 0, "codomain": 0, "derive": 0}
+
+    def counting(cls, attr, key):
+        orig = getattr(cls, attr)
+
+        def counted(self, *args, **kwargs):
+            counts[key] += 1
+            return orig(self, *args, **kwargs)
+        monkeypatch.setattr(cls, attr, counted)
+
+    counting(FinslerStructure, "_validate", "validate")
+    counting(RiemannStructure, "__init__", "codomain")
+    counting(ex.Calculus, "_derive", "derive")
+    return counts
+
+
+def test_one_config_builds_each_structure_once(tmp_path, builds):
+    cfg = _write(tmp_path, "cfg.json", README_CONFIG)
+    commands = [["geom", "--point", POINT], ["tension", "--point", POINT],
+                ["bitension", "--point", POINT], ["check", "invariants"]]
+    first = [_call(*c, "--config", cfg, "--format", "csv") for c in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    assert builds["validate"] == 1 and builds["codomain"] == 1 and builds["derive"] > 0
+    derived = builds["derive"]
+    assert [_call(*c, "--config", cfg, "--format", "csv") for c in commands] == first
+    assert builds == {"validate": 1, "codomain": 1, "derive": derived}
+
+
+def test_a_rewritten_file_reports_its_new_content(tmp_path, builds):
+    path = tmp_path / "cfg.json"
+    other = {**README_CONFIG, "map": {"components": ["0.5 + 0.1*sin(x2)", "0.2*cos(x1)"]}}
+    argv = ["tension", "--config", str(path), "--point", POINT, "--format", "csv"]
+    one_shot = _call(*argv[:2], _write(tmp_path, "other.json", other), *argv[3:])
+    path.write_text(json.dumps(README_CONFIG))
+    before = _call(*argv)
+    path.write_text(json.dumps(other))
+    after = _call(*argv)
+    assert after == one_shot != before
+    # key order and whitespace only: nothing is built again, the hash stays
+    counts, cfg = dict(builds), RunConfig.from_file(str(path))
+    path.write_text(json.dumps(dict(reversed(list(other.items()))), indent=4))
+    assert _call(*argv) == after
+    assert RunConfig.from_file(str(path)) is cfg and builds == counts
+    hashes = []
+    for data in (other, dict(reversed(list(other.items())))):
+        path.write_text(json.dumps(data, indent=4))
+        hashes.append(Report.from_json(_call(*argv[:-1], "json")[1]).config_hash)
+    assert hashes[0] == hashes[1] and builds == counts
+
+
+def test_a_message_does_not_depend_on_key_order(tmp_path, builds):
+    quadrature = {"y_samples": "b", "x_resolution": "a"}
+    paths = [_write(tmp_path, f"cfg{k}.json", {**README_CONFIG, "quadrature": q})
+             for k, q in enumerate((quadrature, dict(reversed(list(quadrature.items())))))]
+    calls = [_call("energy", "--config", path) for path in paths + paths[::-1]]
+    assert calls[0] == (2, "", "config error: quadrature.x_resolution must be an integer, "
+                               "got 'a'\n")
+    assert all(call == calls[0] for call in calls)
+
+
+def test_a_domain_that_fails_validation_fails_every_call_alike(tmp_path, builds):
+    cfg = _write(tmp_path, "cfg.json", {**README_CONFIG,
+                                        "domain": {**RANDERS["domain"], "beta": ["1.5", "0"]}})
+    calls = [_call(command, "--config", cfg, "--point", POINT)
+             for command in ("geom", "tension", "geom", "bitension")]
+    code, out, err = calls[0]
+    assert code == 2 and out == ""
+    assert err.startswith("config error: metric tensor not positive definite")
+    assert all(call == calls[0] for call in calls)
+    assert builds["validate"] == len(calls)
+
+
+def test_the_least_recently_read_config_is_dropped_past_the_bound(tmp_path, builds):
+    paths = [_write(tmp_path, f"cfg{k}.json", {**README_CONFIG, "tolerances": {"harmonic": k}})
+             for k in range(config.SHARED_CONFIGS + 1)]
+    for path in paths:
+        assert _call("geom", "--config", path, "--point", POINT)[0] == 0
+    assert builds["validate"] == config.SHARED_CONFIGS + 1
+    assert _call("geom", "--config", paths[-1], "--point", POINT)[0] == 0
+    assert builds["validate"] == config.SHARED_CONFIGS + 1
+    assert _call("geom", "--config", paths[0], "--point", POINT)[0] == 0
+    assert builds["validate"] == config.SHARED_CONFIGS + 2
+
+
+def test_a_directly_built_config_is_not_shared(tmp_path, builds):
+    direct = RunConfig(README_CONFIG)
+    path = _write(tmp_path, "cfg.json", README_CONFIG)
+    shared = RunConfig.from_file(path)
+    assert shared is not direct and RunConfig.from_file(path) is shared
+    assert direct.finsler() is not shared.finsler()
+    assert direct.canonical_json() == shared.canonical_json()
+
+
+# --- fuzzing: one mutated key or leaf of the README config -------------------------
+
+FUZZ_BASE = {**README_CONFIG, "sections": {"X": [f"sin(x1*{TWO_PI!r})", "0.5*cos(x2)*x1"]},
+             "quadrature": {"x_resolution": 3, "y_samples": 16, "seed": 5}}
+FUZZ_COMMANDS = [["geom", "--point", POINT], ["tension", "--point", POINT],
+                 ["bitension", "--point", POINT], ["energy"], ["check", "invariants"],
+                 ["check", "weitzenbock"], ["check", "divergence"]]
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a parsed config, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, path + (key,))
+
+
+_FUZZ_NODES = list(_nodes(FUZZ_BASE))
+_DICTS = [p for p, n in _FUZZ_NODES if isinstance(n, dict)]
+_LISTS = [p for p, n in _FUZZ_NODES if isinstance(n, list)]
+_LEAVES = [p for p, n in _FUZZ_NODES if not isinstance(n, (dict, list))]
+_QUADRATURE = [p for p in _LEAVES if p[0] == "quadrature"]
+
+
+def _leaf_values(path):
+    """Replacements for the leaf at `path`: a wrong type, NaN or an infinity, a
+    malformed expression, a huge integer, a small number. A quadrature
+    number stays small (<= 4 nodes an axis, <= 16 samples) or is refused."""
+    huge = [2 ** 70, -2 ** 70] + ([10000] if path[-1] == "dimension" else [])
+    values = [st.sampled_from(["abc", True, None, [], {}, [1.0], {"a": 1}]),
+              st.sampled_from([math.nan, math.inf, -math.inf]),
+              st.sampled_from(["", " ", "x1 +", "sin(", "(x1", "x1^^2", "x9", "y1", "1/0",
+                               "sqrt(-1)", "log(0)", "1e400", "x1 x2"]),
+              st.sampled_from(huge)]
+    if path in _QUADRATURE:
+        return st.one_of(*values, st.integers(-2, 4), st.just(2.5))
+    return st.one_of(*values, st.integers(-2, 4), st.sampled_from([0.0, -1.0, 0.5, 1e-300]))
+
+
+@st.composite
+def _mutated_configs(draw):
+    data = json.loads(json.dumps(FUZZ_BASE))
+    kind = draw(st.sampled_from(["leaf", "unknown key", "list length"]))
+    path = draw(st.sampled_from({"leaf": _LEAVES, "unknown key": _DICTS,
+                                 "list length": _LISTS}[kind]))
+    node = data
+    for key in path[:-1] if kind == "leaf" else path:
+        node = node[key]
+    if kind == "leaf":
+        node[path[-1]] = draw(_leaf_values(path))
+    elif kind == "unknown key":
+        node["bogus"] = 1
+    elif draw(st.booleans()):
+        node.pop()
+    else:
+        node.append(json.loads(json.dumps(node[0])))
+    return data
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=30),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_mutated_configs(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_a_mutated_config_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, data,
+                                                                    command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    first = _call(*command, "--config", str(path), "--format", "csv")
+    code, out, err = first
+    name = " ".join(command[:2]) if command[0] == "check" else command[0]
+    event(f"{name}: exit {code}")          # --hypothesis-show-statistics shows the mix
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n") and out == "", err
+    else:
+        assert err == "" and out.startswith("name,status,value")
+    assert "Traceback" not in err and not err.startswith("internal error")
+    # the second call reuses the config: it stores no failure and moves no output
+    assert _call(*command, "--config", str(path), "--format", "csv") == first
